@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import features, pipeline, raster, structural, synth
+from . import nn, pipeline, raster, structural, synth
 from .config import ConfigError, load_config
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def _cmd_eval(args, cfg, say):
     try:
         samples = pipeline.load_corpus(args.corpus)
         modelset = pipeline.load_modelset(args.modeldir)
-    except (FileNotFoundError, ValueError, raster.RasterError, pipeline.MalformedModelSetError) as exc:
+    except (FileNotFoundError, ValueError, raster.RasterError, pipeline.MalformedModelSetError, nn.NnError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO
     report = pipeline.evaluate(samples, modelset, cfg)
@@ -157,7 +157,7 @@ def _cmd_predict(args, cfg, say):
     try:
         img = raster.load_image(args.image)
         modelset = pipeline.load_modelset(args.modeldir)
-    except (FileNotFoundError, raster.RasterError, pipeline.MalformedModelSetError) as exc:
+    except (FileNotFoundError, raster.RasterError, pipeline.MalformedModelSetError, nn.NnError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO
     try:

@@ -26,54 +26,17 @@ class BadConfigValueError(ConfigError):
 
 
 @dataclasses.dataclass
-class Config:
-    # structural thresholds
-    step_tol: int = 2
-    drift_tol_frac: float = 0.10
-    full_span: float = 0.85
-    partial_span: float = 0.25
-    spine_height_frac: float = 0.75
-    mid_mass_tol: int = 5
-    max_consecutive_up: int = 100
-    max_gap: int = 2
+class Config(StructuralConfig, TrainConfig):
+    """Every knob in one flat namespace: the structural thresholds and
+    training settings come from their own dataclasses, declared once."""
+
     # raster
     max_spur: int = 3
     # features
     feature_cap: float = 5.0
-    # training
-    learning_rate: float = 0.01
-    momentum: float = 0.95
-    min_gradient: float = 1e-8
-    max_epochs: int = 500
-    trainer: str = "scg"
-    seed: int = 0
-    n_hidden: int = 40
     # synthesis
     amplitude: int = 2
     per_class: int = 100
-
-    def structural(self):
-        return StructuralConfig(
-            step_tol=self.step_tol,
-            drift_tol_frac=self.drift_tol_frac,
-            full_span=self.full_span,
-            partial_span=self.partial_span,
-            spine_height_frac=self.spine_height_frac,
-            mid_mass_tol=self.mid_mass_tol,
-            max_consecutive_up=self.max_consecutive_up,
-            max_gap=self.max_gap,
-        )
-
-    def training(self):
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            min_gradient=self.min_gradient,
-            max_epochs=self.max_epochs,
-            trainer=self.trainer,
-            seed=self.seed,
-            n_hidden=self.n_hidden,
-        )
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(Config)}

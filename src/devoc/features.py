@@ -7,7 +7,6 @@ full-image neighbor counts, so tile boundaries never create phantom ends.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,12 +69,3 @@ def extract_features(skel):
 def scale_features(vec, cap=5.0):
     """Network input conditioning: counts divided by cap, clamped to [0,1]."""
     return np.clip(np.asarray(vec, dtype=float) / cap, 0.0, 1.0)
-
-
-def write_features_csv(path, rows):
-    """rows: iterable of (label, group, 32-vector). Header row mandatory."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "group"] + ["f%d" % i for i in range(N_FEATURES)])
-        for label, group, vec in rows:
-            writer.writerow([label, group] + [int(v) for v in vec])

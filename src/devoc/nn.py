@@ -402,4 +402,6 @@ def load_model(path):
         theta = np.array([float(v) for v in params])
     except ValueError:
         raise MalformedModelFileError("non-numeric parameter line")
+    if not np.all(np.isfinite(theta)):
+        raise MalformedModelFileError("non-finite parameter")
     return unflatten_params(theta, n_in, n_hidden, n_out), labels

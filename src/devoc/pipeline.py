@@ -68,10 +68,9 @@ def analyze_glyph(img, cfg=None):
     column, when detected, is masked out (+-1) before feature extraction so
     the features describe the character body."""
     cfg = cfg or Config()
-    scfg = cfg.structural()
     skel = preprocess_glyph(img, cfg)
-    shiro = structural.detect_shirorekha(skel, scfg)
-    spine = structural.detect_spines(skel, shiro, scfg)
+    shiro = structural.detect_shirorekha(skel, cfg)
+    spine = structural.detect_spines(skel, shiro, cfg)
     group = structural.classify_group(shiro, spine)
     body = skel
     if spine.matra_col is not None:
@@ -159,7 +158,6 @@ def train_all(samples, cfg=None):
     Returns (GroupModelSet, {group: TrainReport}, routing_log)."""
     cfg = cfg or Config()
     _check_corpus(samples)
-    tcfg = cfg.training()
     by_group = {}
     routing_log = []
     for s in samples:
@@ -187,8 +185,8 @@ def train_all(samples, cfg=None):
         y = np.zeros((len(rows), len(labels)))
         for i, (_, label) in enumerate(rows):
             y[i, index[label]] = 1.0
-        net = nn.init_mlp(tcfg.n_hidden, len(labels), seed=synth.mix_seed(tcfg.seed, key))
-        net, report = nn.train(net, x, y, tcfg)
+        net = nn.init_mlp(cfg.n_hidden, len(labels), seed=synth.mix_seed(cfg.seed, key))
+        net, report = nn.train(net, x, y, cfg)
         modelset.models[key] = (net, labels)
         reports[key] = report
     return modelset, reports, routing_log

@@ -10,7 +10,7 @@ skeleton: bounding-box crop -> thicken -> thin -> prune -> normalize
 
 from __future__ import annotations
 
-import math
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -119,9 +119,23 @@ def _check_dims(width, height):
         raise MalformedHeaderError("bad dimensions %dx%d" % (width, height))
 
 
-def load_pbm(path):
-    """Read a P1 (ascii) or P4 (packed) PBM. PBM value 1 -> foreground."""
-    buf = _read_file(path)
+def _parse_p1_body(body, width, height):
+    # '#' starts a comment that runs to the end of its line; what is left
+    # must be '0'/'1' pixels and whitespace, digits possibly packed together
+    live = b"".join(line.split(b"#", 1)[0] for line in body.split(b"\n"))
+    bad = live.translate(None, b"01 \t\r")
+    if bad:
+        raise MalformedHeaderError("bad P1 pixel byte %r" % bad[:1])
+    bits = np.frombuffer(live.translate(None, b" \t\r"), dtype=np.uint8)
+    if bits.size != width * height:
+        raise DimensionMismatchError(
+            "P1 raster has %d pixels, header says %d" % (bits.size, width * height)
+        )
+    return (bits == ord("1")).reshape(height, width)
+
+
+def _parse_pbm(buf):
+    """Parse a P1 (ascii) or P4 (packed) PBM buffer. PBM value 1 -> foreground."""
     rd = _TokenReader(buf)
     magic = rd.next_token()
     if magic not in (b"P1", b"P4"):
@@ -130,27 +144,7 @@ def load_pbm(path):
     height = rd.next_int()
     _check_dims(width, height)
     if magic == b"P1":
-        body = buf[rd.pos :]
-        bits = []
-        i, n = 0, len(body)
-        while i < n:
-            c = body[i : i + 1]
-            if c == b"#":
-                j = body.find(b"\n", i)
-                i = n if j < 0 else j + 1
-                continue
-            if c == b"0":
-                bits.append(0)
-            elif c == b"1":
-                bits.append(1)
-            elif c not in b" \t\r\n":
-                raise MalformedHeaderError("bad P1 pixel byte %r" % c)
-            i += 1
-        if len(bits) != width * height:
-            raise DimensionMismatchError(
-                "P1 raster has %d pixels, header says %d" % (len(bits), width * height)
-            )
-        return np.array(bits, dtype=bool).reshape(height, width)
+        return _parse_p1_body(buf[rd.pos :], width, height)
     # P4: rows padded to whole bytes
     rd.skip_single_whitespace()
     row_bytes = (width + 7) // 8
@@ -161,9 +155,8 @@ def load_pbm(path):
     return bits[:, :width].astype(bool)
 
 
-def load_pgm(path, threshold_frac=0.5):
-    """Read a P2/P5 PGM and binarize: darker half of the range -> foreground."""
-    buf = _read_file(path)
+def _parse_pgm(buf, threshold_frac=0.5):
+    """Parse a P2/P5 PGM buffer and binarize: darker half of the range -> foreground."""
     rd = _TokenReader(buf)
     magic = rd.next_token()
     if magic not in (b"P2", b"P5"):
@@ -194,33 +187,48 @@ def load_pgm(path, threshold_frac=0.5):
     return grid <= maxval * threshold_frac
 
 
+def load_pbm(path):
+    """Read a P1 (ascii) or P4 (packed) PBM. PBM value 1 -> foreground."""
+    return _parse_pbm(_read_file(path))
+
+
+def load_pgm(path, threshold_frac=0.5):
+    """Read a P2/P5 PGM and binarize: darker half of the range -> foreground."""
+    return _parse_pgm(_read_file(path), threshold_frac)
+
+
+_PARSERS = {b"P1": _parse_pbm, b"P4": _parse_pbm, b"P2": _parse_pgm, b"P5": _parse_pgm}
+
+
 def load_image(path):
     """Dispatch on the netpbm magic number (PBM P1/P4, PGM P2/P5)."""
     buf = _read_file(path)
-    magic = buf[:2]
-    if magic in (b"P1", b"P4"):
-        return load_pbm(path)
-    if magic in (b"P2", b"P5"):
-        return load_pgm(path)
-    raise MalformedHeaderError("unsupported netpbm magic %r" % magic)
+    parse = _PARSERS.get(buf[:2])
+    if parse is None:
+        raise MalformedHeaderError("unsupported netpbm magic %r" % buf[:2])
+    return parse(buf)
 
 
 def save_pbm(path, img):
-    """Write a plain-text P1 PBM (foreground = 1)."""
+    """Write a plain-text P1 PBM (foreground = 1), one raster row per line."""
     img = np.asarray(img, dtype=bool)
     h, w = img.shape
-    lines = ["P1", "%d %d" % (w, h)]
-    for row in img.astype(np.uint8):
-        lines.append("".join("1" if v else "0" for v in row))
-    data = ("\n".join(lines) + "\n").encode("ascii")
-    atomic_write_bytes(path, data)
+    rows = np.column_stack([img.astype(np.uint8) + ord("0"), np.full(h, ord("\n"), dtype=np.uint8)])
+    atomic_write_bytes(path, b"P1\n%d %d\n" % (w, h) + rows.tobytes())
 
 
 def atomic_write_bytes(path, data):
+    """Write through a temp file and rename it over path; on failure the
+    temp file is removed and the error re-raised."""
     tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +251,17 @@ def crop(img, box):
     return img[box.row_min : box.row_max + 1, box.col_min : box.col_max + 1].copy()
 
 
+# 8-neighbor offsets in Zhang-Suen order P2..P9 (N, NE, E, SE, S, SW, W, NW)
+_RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+
+def _zs_ring(img):
+    """The 8 neighbor planes of img in _RING order, zero beyond the border."""
+    p = np.pad(img, 1)
+    h, w = img.shape
+    return tuple(p[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w] for dr, dc in _RING)
+
+
 def neighbor_count(img, row, col):
     """Foreground pixels among the 8-neighborhood; off-image counts as background."""
     h, w = img.shape
@@ -256,14 +275,9 @@ def neighbor_count(img, row, col):
 
 def neighbor_count_grid(img):
     """8-neighbor foreground counts for every pixel, vectorized."""
-    p = np.pad(img, 1).astype(np.uint8)
-    h, w = img.shape
-    out = np.zeros((h, w), dtype=np.int32)
-    for dr in (0, 1, 2):
-        for dc in (0, 1, 2):
-            if dr == 1 and dc == 1:
-                continue
-            out += p[dr : dr + h, dc : dc + w]
+    out = np.zeros(img.shape, dtype=np.int32)
+    for plane in _zs_ring(img):
+        out += plane
     return out
 
 
@@ -273,29 +287,10 @@ def neighbor_count_grid(img):
 
 def thicken(img):
     """One pass of 3x3 dilation (bridges 1-2 pixel gaps from shaky strokes)."""
-    h, w = img.shape
-    p = np.pad(img, 1)
-    out = np.zeros((h, w), dtype=bool)
-    for dr in (0, 1, 2):
-        for dc in (0, 1, 2):
-            out |= p[dr : dr + h, dc : dc + w]
+    out = np.array(img, dtype=bool)
+    for plane in _zs_ring(img):
+        out |= plane
     return out
-
-
-def _zs_ring(skel):
-    """The 8 neighbor planes in Zhang-Suen order P2..P9 (N, NE, E, SE, S, SW, W, NW)."""
-    p = np.pad(skel, 1)
-    h, w = skel.shape
-    return (
-        p[0:h, 1 : w + 1],       # P2 N
-        p[0:h, 2 : w + 2],       # P3 NE
-        p[1 : h + 1, 2 : w + 2], # P4 E
-        p[2 : h + 2, 2 : w + 2], # P5 SE
-        p[2 : h + 2, 1 : w + 1], # P6 S
-        p[2 : h + 2, 0:w],       # P7 SW
-        p[1 : h + 1, 0:w],       # P8 W
-        p[0:h, 0:w],             # P9 NW
-    )
 
 
 def _spare_doomed(skel, dele):
@@ -335,9 +330,10 @@ def _thin_subpass(skel, step):
 
 
 def _ring_values(skel, r, c):
+    """The 8 neighbors of (r, c) in _RING order; off-image counts as background."""
     h, w = skel.shape
     out = []
-    for dr, dc in ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)):
+    for dr, dc in _RING:
         rr, cc = r + dr, c + dc
         out.append(bool(skel[rr, cc]) if 0 <= rr < h and 0 <= cc < w else False)
     return out
@@ -402,15 +398,7 @@ def thin_to_convergence(img):
 
 def _fg_neighbors(img, r, c):
     h, w = img.shape
-    out = []
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < h and 0 <= cc < w and img[rr, cc]:
-                out.append((rr, cc))
-    return out
+    return [(r + dr, c + dc) for dr, dc in _RING if 0 <= r + dr < h and 0 <= c + dc < w and img[r + dr, c + dc]]
 
 
 def _walk_spur(img, r, c, max_spur):

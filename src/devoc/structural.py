@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .raster import EmptyImageError, neighbor_count
+from .raster import EmptyImageError, neighbor_count, thicken
 
 # candidate moves in priority order: W, NW, SW, N (column never increases)
 PRIORITY_MASK = ((0, -1), (-1, -1), (1, -1), (-1, 0))
@@ -100,24 +100,9 @@ class StructuralConfig:
     max_gap: int = 2
 
 
-_GROUP_TITLES = {
-    ("full", "end"): "Total shirorekha, End spine",
-    ("full", "mid"): "Total shirorekha, Mid spine",
-    ("full", "none"): "Total shirorekha, No spine",
-    ("partial", "end"): "Partial shirorekha, End spine",
-    ("partial", "mid"): "Partial shirorekha, Mid spine",
-    ("partial", "none"): "Partial shirorekha, No spine",
-    ("none", "none"): "No shirorekha",
-}
-
-
 def group_name(sc):
     """Stable short key for a structural class, e.g. 'full_end'."""
     return "%s_%s" % (sc.shirorekha.value, sc.spine.value)
-
-
-def group_title(sc):
-    return _GROUP_TITLES[(sc.shirorekha.value, sc.spine.value)]
 
 
 def parse_group_name(name):
@@ -196,30 +181,6 @@ def straightness(heights, step_tol, drift_tol):
     return StraightnessReport(heights, max_step, drift, ok)
 
 
-def upper_envelope(skel, col_range=None):
-    """Per column, the row of the topmost foreground pixel (distance from the
-    top edge); None marks columns with no foreground."""
-    h, w = skel.shape
-    cols = range(w) if col_range is None else col_range
-    out = []
-    for c in cols:
-        rows = np.flatnonzero(skel[:, c])
-        out.append(int(rows[0]) if rows.size else None)
-    return out
-
-
-def right_envelope(skel, row_range=None):
-    """Per row, distance from the right edge to the rightmost foreground
-    pixel; None marks empty rows."""
-    h, w = skel.shape
-    rows = range(h) if row_range is None else row_range
-    out = []
-    for r in rows:
-        cols = np.flatnonzero(skel[r, :])
-        out.append(int(w - 1 - cols[-1]) if cols.size else None)
-    return out
-
-
 def _headline_points(trace, step_tol):
     """Drop the leading climb: a trace that starts mid-spine first ascends
     within the start column's neighborhood before turning onto the headline.
@@ -295,16 +256,6 @@ def detect_shirorekha(skel, cfg=None):
 # Spines
 
 
-def _dilate3(mask):
-    h, w = mask.shape
-    p = np.pad(mask, 1)
-    out = np.zeros((h, w), dtype=bool)
-    for dr in (0, 1, 2):
-        for dc in (0, 1, 2):
-            out |= p[dr : dr + h, dc : dc + w]
-    return out
-
-
 def _walk_down(body, r, c):
     """Follow a near-vertical stroke downward, preferring straight-down
     moves and breaking diagonal ties toward the start column."""
@@ -341,7 +292,7 @@ def _vertical_candidates(skel, trace, cfg):
     if trace is not None:
         for r, c in trace.points:
             trace_mask[r, c] = True
-    body = skel & ~_dilate3(trace_mask)
+    body = skel & ~thicken(trace_mask)
     min_len = math.ceil(cfg.spine_height_frac * h)
     p = np.pad(body, 1)
     above = p[0:h, 0:w] | p[0:h, 1 : w + 1] | p[0:h, 2 : w + 2]

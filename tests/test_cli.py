@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -24,9 +26,37 @@ def workspace(tmp_path_factory):
     return corpus, models
 
 
+def copy_models(models, tmp_path):
+    """A private copy of the shared model set, safe to corrupt."""
+    return shutil.copytree(models, str(tmp_path / "models"))
+
+
 class TestConfigFile:
     def test_defaults_without_file(self):
         assert load_config(None) == Config()
+
+    def test_keys_and_defaults_are_pinned(self):
+        assert dataclasses.asdict(load_config(None)) == {
+            "learning_rate": 0.01,
+            "momentum": 0.95,
+            "min_gradient": 1e-8,
+            "max_epochs": 500,
+            "trainer": "scg",
+            "seed": 0,
+            "n_hidden": 40,
+            "step_tol": 2,
+            "drift_tol_frac": 0.10,
+            "full_span": 0.85,
+            "partial_span": 0.25,
+            "spine_height_frac": 0.75,
+            "mid_mass_tol": 5,
+            "max_consecutive_up": 100,
+            "max_gap": 2,
+            "max_spur": 3,
+            "feature_cap": 5.0,
+            "amplitude": 2,
+            "per_class": 100,
+        }
 
     def test_parse_overrides_and_comments(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -121,6 +151,15 @@ class TestEvalCommand:
         corpus, _ = workspace
         assert cli.main(["--quiet", "eval", corpus, str(tmp_path / "nope")]) == cli.EXIT_IO
 
+    def test_wrong_model_version_is_io_error(self, workspace, tmp_path, capsys):
+        corpus, models = workspace
+        broken = copy_models(models, tmp_path)
+        path = os.path.join(broken, "full_end.mlp")
+        text = open(path).read().replace("DEVOC-MLP v1", "DEVOC-MLP v2", 1)
+        open(path, "w").write(text)
+        assert cli.main(["--quiet", "eval", corpus, broken]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestPredictCommand:
     def test_output_format(self, workspace, capsys):
@@ -133,6 +172,16 @@ class TestPredictCommand:
         assert label == entry.class_label
         assert group == entry.group
         assert 0.0 < float(conf) <= 1.0
+
+    def test_truncated_model_is_io_error(self, workspace, tmp_path, capsys):
+        corpus, models = workspace
+        broken = copy_models(models, tmp_path)
+        path = os.path.join(broken, "full_end.mlp")
+        lines = open(path).read().splitlines()
+        open(path, "w").write("\n".join(lines[:-3]) + "\n")
+        img = os.path.join(corpus, synth.read_manifest(corpus)[0].path)
+        assert cli.main(["--quiet", "predict", img, broken]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_image_is_io_error(self, workspace, tmp_path):
         _, models = workspace

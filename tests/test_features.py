@@ -130,16 +130,3 @@ class TestScale:
         vec = rng.integers(0, 30, size=N_FEATURES)
         out = features.scale_features(vec)
         assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-class TestCsv:
-    def test_round_trip_shape(self, tmp_path):
-        import csv
-
-        path = str(tmp_path / "f.csv")
-        rows = [("ka", "full_mid", list(range(N_FEATURES)))]
-        features.write_features_csv(path, rows)
-        with open(path, newline="") as fh:
-            got = list(csv.reader(fh))
-        assert got[0][:2] == ["label", "group"] and len(got[0]) == 2 + N_FEATURES
-        assert got[1][0] == "ka" and got[1][2:] == [str(i) for i in range(N_FEATURES)]

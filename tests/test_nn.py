@@ -318,3 +318,14 @@ class TestModelFile:
         open(path, "w").write(text)
         with pytest.raises(MalformedModelFileError):
             nn.load_model(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        net = nn.init_mlp(4, 2, seed=0)
+        path = str(tmp_path / "m.mlp")
+        nn.save_model(path, net, ["x", "y"])
+        text = open(path).read().splitlines()
+        text[-1] = bad
+        open(path, "w").write("\n".join(text) + "\n")
+        with pytest.raises(MalformedModelFileError):
+            nn.load_model(path)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,10 @@ class TestPbm:
         img = raster.load_pbm(write(tmp_path, "a.pbm", "P1\n# hi\n2 2 # dims\n1001"))
         assert img[0, 0] and img[1, 1] and not img[0, 1]
 
+    def test_p1_non_digit_pixel_byte(self, tmp_path):
+        with pytest.raises(MalformedHeaderError, match="bad P1 pixel byte b'2'"):
+            raster.load_pbm(write(tmp_path, "a.pbm", "P1\n2 2\n1 0 # 2 in a comment\n2 1"))
+
     def test_bad_magic(self, tmp_path):
         with pytest.raises(MalformedHeaderError):
             raster.load_pbm(write(tmp_path, "a.pbm", "P7\n1 1\n0"))
@@ -68,6 +74,41 @@ class TestPbm:
     def test_missing_file(self, tmp_path):
         with pytest.raises(raster.RasterError):
             raster.load_pbm(str(tmp_path / "nope.pbm"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_comments_and_whitespace_between_pixels(self, tmp_path_factory, data):
+        h = data.draw(st.integers(1, 6))
+        w = data.draw(st.integers(1, 6))
+        img = np.array(data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))).reshape(h, w)
+        path = tmp_path_factory.getbasetemp() / "spaced.pbm"
+        raster.save_pbm(str(path), img)
+        magic, dims, body = path.read_bytes().split(b"\n", 2)
+        seps = st.sampled_from([b"", b" ", b"\t", b"\r\n", b"\n\n", b" # 0 1 #\n", b"#\n"])
+        spaced = b"".join(bytes([d]) + data.draw(seps) for d in body.replace(b"\n", b""))
+        path.write_bytes(magic + b"\n" + dims + b"\n" + spaced)
+        assert np.array_equal(raster.load_image(str(path)), img)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([b"", b"P1", b"P2", b"P4", b"P5", b"P1 3 2\n", b"P5 2 2 255\n"]), st.binary(max_size=64))
+    def test_arbitrary_bytes_raise_only_raster_errors(self, tmp_path_factory, magic, tail):
+        path = tmp_path_factory.getbasetemp() / "fuzz.pnm"
+        path.write_bytes(magic + tail)
+        try:
+            img = raster.load_image(str(path))
+        except raster.RasterError:
+            return
+        assert img.dtype == bool and img.ndim == 2
+
+
+class TestAtomicWrite:
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "target"
+        target.mkdir()
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(OSError):
+            raster.atomic_write_bytes(str(target), b"data")
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestPgm:

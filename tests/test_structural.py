@@ -131,24 +131,6 @@ class TestStraightness:
         assert structural.straightness(values, step_tol, drift_tol).is_near_straight == expect
 
 
-class TestEnvelopes:
-    def test_upper_envelope(self):
-        img = np.zeros((6, 4), dtype=bool)
-        img[2, 1] = img[4, 1] = img[0, 3] = True
-        assert structural.upper_envelope(img) == [None, 2, None, 0]
-
-    def test_right_envelope_distance_from_right_edge(self):
-        img = np.zeros((3, 8), dtype=bool)
-        img[0, 7] = True
-        img[1, 2] = img[1, 5] = True
-        assert structural.right_envelope(img) == [0, 2, None]
-
-    def test_column_range_restriction(self):
-        img = np.zeros((4, 6), dtype=bool)
-        img[1, :] = True
-        assert structural.upper_envelope(img, range(2, 4)) == [1, 1]
-
-
 class TestTopSegment:
     def test_contiguous_columns(self):
         pts = [(5, c) for c in range(10, 20)]
@@ -296,7 +278,6 @@ class TestGrouping:
         assert len(ALL_GROUPS) == 7
         for sc in ALL_GROUPS:
             assert structural.parse_group_name(structural.group_name(sc)) == sc
-            assert structural.group_title(sc)  # every group has a title
 
     def test_inconsistent_class_rejected(self):
         with pytest.raises(InconsistentInputsError):
