@@ -106,6 +106,11 @@ def _cmd_synth(args, cfg, say):
     return EXIT_OK
 
 
+def _empty_corpus_glyph(corpus, exc):
+    print("empty glyph in corpus %s: %s" % (corpus, exc), file=sys.stderr)
+    return EXIT_EMPTY
+
+
 def _cmd_train(args, cfg, say):
     try:
         samples = pipeline.load_corpus(args.corpus)
@@ -117,6 +122,8 @@ def _cmd_train(args, cfg, say):
     except pipeline.InsufficientDataError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
+    except raster.EmptyImageError as exc:
+        return _empty_corpus_glyph(args.corpus, exc)
     try:
         pipeline.save_modelset(args.modeldir, modelset)
     except OSError as exc:
@@ -141,7 +148,10 @@ def _cmd_eval(args, cfg, say):
     except (FileNotFoundError, ValueError, raster.RasterError, pipeline.MalformedModelSetError, nn.NnError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    report = pipeline.evaluate(samples, modelset, cfg)
+    try:
+        report = pipeline.evaluate(samples, modelset, cfg)
+    except raster.EmptyImageError as exc:
+        return _empty_corpus_glyph(args.corpus, exc)
     print(pipeline.render_report(report))
     raster.atomic_write_bytes(
         os.path.join(args.modeldir, "report.csv"), pipeline.report_csv(report).encode("ascii")

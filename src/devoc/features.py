@@ -41,6 +41,10 @@ def tile_of(row, col):
     return (row // TILE) * GRID + col // TILE
 
 
+# tile_of for every pixel of the normalized grid
+_TILE_INDEX = (np.arange(NORM_SIZE) // TILE)[:, None] * GRID + np.arange(NORM_SIZE) // TILE
+
+
 def find_feature_points(skel):
     """Classify every foreground pixel by its 8-neighbor count:
     1 -> open end, >=3 -> intersection, anything else emits nothing."""
@@ -58,11 +62,11 @@ def extract_features(skel):
     pair (intersections, open ends)."""
     if skel.shape != (NORM_SIZE, NORM_SIZE):
         raise WrongDimensionsError("expected %dx%d skeleton, got %r" % (NORM_SIZE, NORM_SIZE, skel.shape))
-    vec = np.zeros(N_FEATURES, dtype=np.int64)
-    for pt in find_feature_points(skel):
-        t = tile_of(*pt.position)
-        offset = 0 if pt.kind == PointKind.INTERSECTION else 1
-        vec[2 * t + offset] += 1
+    skel = np.asarray(skel, dtype=bool)
+    counts = neighbor_count_grid(skel)
+    vec = np.empty(N_FEATURES, dtype=np.int64)
+    vec[0::2] = np.bincount(_TILE_INDEX[skel & (counts >= 3)], minlength=GRID * GRID)
+    vec[1::2] = np.bincount(_TILE_INDEX[skel & (counts == 1)], minlength=GRID * GRID)
     return vec
 
 

@@ -365,10 +365,12 @@ def save_model(path, net, labels):
 def load_model(path):
     """Inverse of save_model; returns (net, labels)."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise MalformedModelFileError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise MalformedModelFileError("%s is not UTF-8 text: %s" % (path, exc))
     if len(lines) < 4:
         raise MalformedModelFileError("model file too short")
     head = lines[0].split()

@@ -7,6 +7,7 @@ the reported numbers are what a user of the whole system experiences.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 
@@ -133,6 +134,15 @@ def corpus_from_samples(samples):
     ]
 
 
+@contextlib.contextmanager
+def _naming(sample):
+    """Prefix an EmptyImageError with the corpus path of the blank glyph."""
+    try:
+        yield
+    except raster.EmptyImageError as exc:
+        raise raster.EmptyImageError("%s: %s" % (sample.path, exc)) from exc
+
+
 def _check_corpus(samples):
     by_group = {}
     for s in samples:
@@ -163,7 +173,8 @@ def train_all(samples, cfg=None):
     for s in samples:
         if s.split != "train":
             continue
-        analysis = analyze_glyph(s.image, cfg)
+        with _naming(s):
+            analysis = analyze_glyph(s.image, cfg)
         key = structural.group_name(analysis.group)
         if key != s.group:
             routing_log.append((s.path, s.group, key))
@@ -233,7 +244,8 @@ def evaluate(samples, modelset, cfg=None):
     cfg = cfg or Config()
     records = []
     for s in samples:
-        pred = recognize(s.image, modelset, cfg)
+        with _naming(s):
+            pred = recognize(s.image, modelset, cfg)
         records.append(
             SampleRecord(
                 s.path,
@@ -319,8 +331,11 @@ def load_modelset(dirpath):
     manifest = os.path.join(dirpath, MODELSET_NAME)
     if not os.path.exists(manifest):
         raise FileNotFoundError("no %s in %s" % (MODELSET_NAME, dirpath))
-    with open(manifest) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(manifest, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedModelSetError("%s is not UTF-8 text: %s" % (manifest, exc))
     if not lines or lines[0] != MODELSET_MAGIC:
         raise MalformedModelSetError("bad modelset header")
     modelset = GroupModelSet()
@@ -331,7 +346,10 @@ def load_modelset(dirpath):
         if len(parts) != 2:
             raise MalformedModelSetError("bad modelset line %r" % line)
         key, fname = parts
-        structural.parse_group_name(key)  # validates the key
+        try:
+            structural.parse_group_name(key)
+        except ValueError as exc:
+            raise MalformedModelSetError("bad modelset line %r: %s" % (line, exc))
         net, labels = nn.load_model(os.path.join(dirpath, fname))
         modelset.models[key] = (net, labels)
     return modelset

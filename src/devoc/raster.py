@@ -309,24 +309,54 @@ def _spare_doomed(skel, dele):
         dele[rr[0], cc[0]] = False
 
 
-def _thin_subpass(skel, step):
-    ring = _zs_ring(skel)
-    stack = np.stack(ring).astype(np.uint8)
-    B = stack.sum(axis=0)
-    A = ((stack == 0) & (np.roll(stack, -1, axis=0) == 1)).sum(axis=0)
-    P2, _, P4, _, P6, _, P8, _ = ring
+def _zs_table(step):
+    """Zhang-Suen deletability of a foreground pixel under subiteration
+    `step`, indexed by its ring code (bit i set when neighbor _RING[i] is
+    foreground): 2 <= B <= 6 neighbors, A == 1 background-to-foreground
+    transition around P2..P9, and the step's two side conditions."""
+    bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
+    B = bits.sum(axis=1)
+    A = (~bits & np.roll(bits, -1, axis=1)).sum(axis=1)
+    P2, _, P4, _, P6, _, P8, _ = bits.T
     if step == 1:
         cond = ~(P2 & P4 & P6) & ~(P4 & P6 & P8)
     else:
         cond = ~(P2 & P4 & P8) & ~(P2 & P6 & P8)
-    dele = skel & (B >= 2) & (B <= 6) & (A == 1) & cond
-    if not dele.any():
-        return False
-    _spare_doomed(skel, dele)
-    if not dele.any():
-        return False
-    skel &= ~dele
-    return True
+    return (B >= 2) & (B <= 6) & (A == 1) & cond
+
+
+_ZS_TABLES = {1: _zs_table(1), 2: _zs_table(2)}
+
+
+def _zs_delete(grid, cand, ring, table):
+    """One parallel Zhang-Suen subiteration over the candidate pixels (flat
+    indices into the zero-bordered uint8 grid, all foreground). Deletes the
+    deletable ones, sparing one pixel of any component that would vanish,
+    and returns the flat indices deleted."""
+    buf = grid.reshape(-1)
+    codes = np.packbits(buf[cand[:, None] + ring], axis=1, bitorder="little")[:, 0]
+    dele = cand[table[codes]]
+    if dele.size == 0:
+        return dele
+    buf[dele] = 0
+    if not buf[dele[:, None] + ring].any(axis=1).all():
+        # a deleted pixel kept no 8-neighbor, so its whole component may be
+        # gone: redo the deletion with the component check
+        buf[dele] = 1
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask.reshape(-1)[dele] = True
+        _spare_doomed(grid[1:-1, 1:-1].view(bool), mask[1:-1, 1:-1])
+        dele = np.flatnonzero(mask)
+        buf[dele] = 0
+    return dele
+
+
+def _distinct(idx, stamp):
+    """idx without repeats, in linear time: stamp is scratch space with one
+    slot per grid pixel; exactly one write per distinct index survives."""
+    order = np.arange(idx.size)
+    stamp[idx] = order
+    return idx[stamp[idx] == order]
 
 
 def _ring_values(skel, r, c):
@@ -385,13 +415,33 @@ def _in_full_block(skel, r, c):
 def thin_to_convergence(img):
     """Two-subiteration parallel thinning (Zhang-Suen conditions) iterated
     until a full pass deletes nothing, plus a square-block cleanup so that
-    no 2x2 all-foreground block survives. Component count is preserved."""
-    skel = np.array(img, dtype=bool)
+    no 2x2 all-foreground block survives. Component count is preserved.
+
+    A pixel's deletability under a step changes only when its 3x3
+    neighborhood does, so after the first pass a subiteration re-tests just
+    the foreground pixels next to the previous two subiterations' deletions."""
+    img = np.asarray(img, dtype=bool)
+    h, w = img.shape
+    grid = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    grid[1:-1, 1:-1] = img
+    buf = grid.reshape(-1)
+    ring = np.array([dr * (w + 2) + dc for dr, dc in _RING])
+    stamp = np.empty(buf.size, dtype=np.intp)
+    touched = [None, None]  # neighbors of the last two subiterations' deletions
     while True:
-        c1 = _thin_subpass(skel, 1)
-        c2 = _thin_subpass(skel, 2)
-        if not (c1 or c2):
+        changed = False
+        for step in (1, 2):
+            if touched[0] is None:
+                cand = np.flatnonzero(buf)  # the first pass tests every pixel
+            else:
+                cand = _distinct(np.concatenate(touched), stamp)
+                cand = cand[buf[cand] != 0]
+            gone = _zs_delete(grid, cand, ring, _ZS_TABLES[step])
+            touched = [touched[1], (gone[:, None] + ring).ravel()]
+            changed = changed or gone.size > 0
+        if not changed:
             break
+    skel = grid[1:-1, 1:-1].astype(bool)
     _dissolve_square_blocks(skel)
     return skel
 

@@ -137,6 +137,17 @@ class TestTrainCommand:
         assert code == cli.EXIT_DATA
 
 
+    def test_blank_corpus_glyph_is_empty_error(self, tmp_path, capsys):
+        corpus = str(tmp_path / "corpus")
+        assert cli.main(["--quiet", "synth", corpus, "--per-class", "2", "--amplitude", "0"]) == 0
+        entry = synth.read_manifest(corpus)[0]
+        assert entry.split == "train"
+        raster.save_pbm(os.path.join(corpus, entry.path), np.zeros((20, 20), dtype=bool))
+        assert cli.main(["--quiet", "train", corpus, str(tmp_path / "m")]) == cli.EXIT_EMPTY
+        err = capsys.readouterr().err
+        assert corpus in err and entry.path in err
+
+
 class TestEvalCommand:
     def test_prints_table_and_writes_reports(self, workspace, capsys):
         corpus, models = workspace
@@ -161,6 +172,16 @@ class TestEvalCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    def test_blank_corpus_glyph_is_empty_error(self, workspace, tmp_path, capsys):
+        corpus, models = workspace
+        corpus = shutil.copytree(corpus, str(tmp_path / "corpus"))
+        entry = synth.read_manifest(corpus)[-1]
+        raster.save_pbm(os.path.join(corpus, entry.path), np.zeros((20, 20), dtype=bool))
+        assert cli.main(["--quiet", "eval", corpus, copy_models(models, tmp_path)]) == cli.EXIT_EMPTY
+        err = capsys.readouterr().err
+        assert corpus in err and entry.path in err
+
+
 class TestPredictCommand:
     def test_output_format(self, workspace, capsys):
         corpus, models = workspace
@@ -181,6 +202,29 @@ class TestPredictCommand:
         open(path, "w").write("\n".join(lines[:-3]) + "\n")
         img = os.path.join(corpus, synth.read_manifest(corpus)[0].path)
         assert cli.main(["--quiet", "predict", img, broken]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def predict_with_broken(self, workspace, tmp_path, name, data):
+        corpus, models = workspace
+        broken = copy_models(models, tmp_path)
+        with open(os.path.join(broken, name), "wb") as fh:
+            fh.write(data)
+        img = os.path.join(corpus, synth.read_manifest(corpus)[0].path)
+        return cli.main(["--quiet", "predict", img, broken])
+
+    def test_unknown_group_key_in_modelset_is_io_error(self, workspace, tmp_path, capsys):
+        data = b"DEVOC-MODELSET v1\nbogus_key full_end.mlp\n"
+        assert self.predict_with_broken(workspace, tmp_path, "modelset.txt", data) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_modelset_is_io_error(self, workspace, tmp_path, capsys):
+        data = b"DEVOC-MODELSET v1\nfull_end full_\xff.mlp\n"
+        assert self.predict_with_broken(workspace, tmp_path, "modelset.txt", data) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_model_file_is_io_error(self, workspace, tmp_path, capsys):
+        data = b"DEVOC-MLP v1\n\xff\xfe\n"
+        assert self.predict_with_broken(workspace, tmp_path, "full_end.mlp", data) == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_image_is_io_error(self, workspace, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devoc import features
 from devoc.features import N_FEATURES, PointKind, WrongDimensionsError
@@ -107,6 +109,15 @@ class TestExtract:
         for _ in range(15):
             skel = random_skeleton(rng)
             assert features.extract_features(skel).tolist() == naive_feature_oracle(skel)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_feature_point_counts(self, seed):
+        skel = random_skeleton(np.random.default_rng(seed))
+        vec = [0] * N_FEATURES
+        for pt in features.find_feature_points(skel):
+            vec[2 * features.tile_of(*pt.position) + (pt.kind == PointKind.OPEN_END)] += 1
+        assert features.extract_features(skel).tolist() == vec
 
     def test_tile_counts_partition_image_totals(self):
         rng = np.random.default_rng(202)

@@ -3,6 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from devoc import nn, pipeline, raster, structural, synth
 from devoc.config import Config
@@ -71,6 +74,16 @@ class TestAnalyze:
         body = analysis.skeleton.copy()
         body[:, max(mc - 1, 0) : mc + 2] = False
         assert np.array_equal(analysis.raw_features, F.extract_features(body))
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(bool, st.tuples(st.integers(1, 60), st.integers(1, 60))))
+    def test_any_bool_array_analyzes_or_is_empty(self, img):
+        try:
+            analysis = pipeline.analyze_glyph(img)
+        except raster.EmptyImageError:
+            return
+        assert analysis.skeleton.shape == (100, 100)
 
 
 class TestRecognize:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devoc import raster
+from devoc import raster, synth
 from devoc.raster import (
     BoundingBox,
     BoxOutOfRangeError,
@@ -251,6 +251,79 @@ class TestThin:
         img[20, 2:28] = True
         out = raster.thin_to_convergence(raster.thicken(img))
         assert flood_fill_components(out) == 2
+
+
+def _reference_subpass(skel, step):
+    ring = raster._zs_ring(skel)
+    stack = np.stack(ring).astype(np.uint8)
+    B = stack.sum(axis=0)
+    A = ((stack == 0) & (np.roll(stack, -1, axis=0) == 1)).sum(axis=0)
+    P2, _, P4, _, P6, _, P8, _ = ring
+    if step == 1:
+        cond = ~(P2 & P4 & P6) & ~(P4 & P6 & P8)
+    else:
+        cond = ~(P2 & P4 & P8) & ~(P2 & P6 & P8)
+    dele = skel & (B >= 2) & (B <= 6) & (A == 1) & cond
+    if not dele.any():
+        return False
+    raster._spare_doomed(skel, dele)
+    if not dele.any():
+        return False
+    skel &= ~dele
+    return True
+
+
+def reference_thin(img):
+    """Whole-image Zhang-Suen: every subiteration tests every pixel and
+    labels components whenever it deletes anything. The frontier thinner
+    must reproduce it exactly."""
+    skel = np.array(img, dtype=bool)
+    while True:
+        c1 = _reference_subpass(skel, 1)
+        c2 = _reference_subpass(skel, 2)
+        if not (c1 or c2):
+            break
+    raster._dissolve_square_blocks(skel)
+    return skel
+
+
+def assert_matches_reference(img):
+    out = raster.thin_to_convergence(img)
+    assert out.dtype == bool
+    assert np.array_equal(out, reference_thin(img))
+
+
+class TestThinMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 48), st.integers(1, 48), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    def test_random_arrays(self, h, w, density, seed):
+        assert_matches_reference(np.random.default_rng(seed).random((h, w)) < density)
+
+    def test_corpus_glyphs_at_one_pixel_and_thick_pen(self, templates):
+        for s in synth.generate_corpus(templates, 2, amplitude=2):
+            thick = raster.thicken(np.repeat(np.repeat(s.image, 2, axis=0), 2, axis=1))
+            for img in (s.image, thick):
+                assert_matches_reference(raster.thicken(raster.crop(img, raster.bounding_box(img))))
+
+    def test_component_check_runs_only_when_a_component_can_vanish(self, monkeypatch):
+        calls = []
+        spare = raster._spare_doomed
+
+        def counting_spare(skel, dele):
+            calls.append(1)
+            spare(skel, dele)
+
+        monkeypatch.setattr(raster, "_spare_doomed", counting_spare)
+        img = np.zeros((12, 30), dtype=bool)
+        img[2:5, 2:28] = True
+        raster.thin_to_convergence(img)
+        assert not calls
+        img[8:10, 12:14] = True  # isolated 2x2 square: all four pixels are deletable at once
+        out = raster.thin_to_convergence(img)
+        assert calls
+        monkeypatch.setattr(raster, "_spare_doomed", spare)
+        assert np.array_equal(out, reference_thin(img))
+        assert out[8:10, 12:14].sum() == 1
 
 
 class TestPrune:
