@@ -96,10 +96,10 @@ def _cmd_inspect(args, cfg, say):
 def _cmd_synth(args, cfg, say):
     per_class = args.per_class if args.per_class is not None else cfg.per_class
     amplitude = args.amplitude if args.amplitude is not None else cfg.amplitude
-    samples = synth.generate_corpus(synth.default_templates(), per_class, amplitude, cfg.seed)
     try:
+        samples = synth.generate_corpus(synth.default_templates(), per_class, amplitude, cfg.seed)
         synth.write_corpus(samples, args.outdir)
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO
     say("wrote %d samples to %s" % (len(samples), args.outdir))

@@ -155,7 +155,7 @@ def _parse_pbm(buf):
     return bits[:, :width].astype(bool)
 
 
-def _parse_pgm(buf, threshold_frac=0.5):
+def _parse_pgm(buf):
     """Parse a P2/P5 PGM buffer and binarize: darker half of the range -> foreground."""
     rd = _TokenReader(buf)
     magic = rd.next_token()
@@ -184,17 +184,7 @@ def _parse_pgm(buf, threshold_frac=0.5):
             raise DimensionMismatchError("P5 raster truncated")
         dtype = np.uint8 if itemsize == 1 else ">u2"
         grid = np.frombuffer(raster, dtype=dtype).reshape(height, width).astype(int)
-    return grid <= maxval * threshold_frac
-
-
-def load_pbm(path):
-    """Read a P1 (ascii) or P4 (packed) PBM. PBM value 1 -> foreground."""
-    return _parse_pbm(_read_file(path))
-
-
-def load_pgm(path, threshold_frac=0.5):
-    """Read a P2/P5 PGM and binarize: darker half of the range -> foreground."""
-    return _parse_pgm(_read_file(path), threshold_frac)
+    return grid <= maxval / 2
 
 
 _PARSERS = {b"P1": _parse_pbm, b"P4": _parse_pbm, b"P2": _parse_pgm, b"P5": _parse_pgm}
@@ -309,23 +299,46 @@ def _spare_doomed(skel, dele):
         dele[rr[0], cc[0]] = False
 
 
-def _zs_table(step):
-    """Zhang-Suen deletability of a foreground pixel under subiteration
-    `step`, indexed by its ring code (bit i set when neighbor _RING[i] is
-    foreground): 2 <= B <= 6 neighbors, A == 1 background-to-foreground
-    transition around P2..P9, and the step's two side conditions."""
+def _bordered(img):
+    """img as a uint8 grid with a one-pixel zero border, plus the flat
+    offsets of the _RING neighbors in that grid. Every 3x3 rule below reads
+    a pixel's neighbors through these offsets, so none needs a bounds check."""
+    img = np.asarray(img, dtype=bool)
+    h, w = img.shape
+    grid = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    grid[1:-1, 1:-1] = img
+    return grid, np.array([dr * (w + 2) + dc for dr, dc in _RING])
+
+
+def _codes(buf, idx, ring):
+    """Ring codes (bit i set when neighbor _RING[i] is foreground) of the
+    pixels at flat index or indices idx of a bordered grid's buffer."""
+    return np.packbits(buf[idx[..., None] + ring], axis=-1, bitorder="little")[..., 0]
+
+
+def _ring_tables():
+    """Every local rule as a 256-entry table indexed by ring code, from B
+    (foreground neighbors) and A (0->1 transitions around P2..P9, the
+    Rutovitz crossing number).
+
+    Zhang-Suen step 1 and step 2: 2 <= B <= 6, A == 1 and the step's two
+    side conditions. Peel: the pixel is in a 2x2 all-foreground block
+    ((N,NE,E), (E,SE,S), (S,SW,W) or (W,NW,N) all set, so B >= 3 and it is
+    no endpoint) and deleting it leaves its neighbors one piece (A == 1)."""
     bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
     B = bits.sum(axis=1)
     A = (~bits & np.roll(bits, -1, axis=1)).sum(axis=1)
-    P2, _, P4, _, P6, _, P8, _ = bits.T
-    if step == 1:
-        cond = ~(P2 & P4 & P6) & ~(P4 & P6 & P8)
-    else:
-        cond = ~(P2 & P4 & P8) & ~(P2 & P6 & P8)
-    return (B >= 2) & (B <= 6) & (A == 1) & cond
+    P2, P3, P4, P5, P6, P7, P8, P9 = bits.T
+    thinnable = (B >= 2) & (B <= 6) & (A == 1)
+    steps = {
+        1: thinnable & ~(P2 & P4 & P6) & ~(P4 & P6 & P8),
+        2: thinnable & ~(P2 & P4 & P8) & ~(P2 & P6 & P8),
+    }
+    in_block = (P2 & P3 & P4) | (P4 & P5 & P6) | (P6 & P7 & P8) | (P8 & P9 & P2)
+    return steps, in_block & (A == 1)
 
 
-_ZS_TABLES = {1: _zs_table(1), 2: _zs_table(2)}
+_ZS_TABLES, _PEEL = _ring_tables()
 
 
 def _zs_delete(grid, cand, ring, table):
@@ -334,8 +347,7 @@ def _zs_delete(grid, cand, ring, table):
     deletable ones, sparing one pixel of any component that would vanish,
     and returns the flat indices deleted."""
     buf = grid.reshape(-1)
-    codes = np.packbits(buf[cand[:, None] + ring], axis=1, bitorder="little")[:, 0]
-    dele = cand[table[codes]]
+    dele = cand[table[_codes(buf, cand, ring)]]
     if dele.size == 0:
         return dele
     buf[dele] = 0
@@ -359,57 +371,26 @@ def _distinct(idx, stamp):
     return idx[stamp[idx] == order]
 
 
-def _ring_values(skel, r, c):
-    """The 8 neighbors of (r, c) in _RING order; off-image counts as background."""
-    h, w = skel.shape
-    out = []
-    for dr, dc in _RING:
-        rr, cc = r + dr, c + dc
-        out.append(bool(skel[rr, cc]) if 0 <= rr < h and 0 <= cc < w else False)
-    return out
-
-
-def _is_simple(skel, r, c):
-    # deletable without splitting the local foreground: exactly one 0->1
-    # transition around the ring (Rutovitz crossing number == 1)
-    ring = _ring_values(skel, r, c)
-    trans = sum(1 for a, b in zip(ring, ring[1:] + ring[:1]) if not a and b)
-    return trans == 1
-
-
-def _dissolve_square_blocks(skel):
-    # Zhang-Suen can leave 2x2 squares in staircase regions; peel them off
-    # sequentially, deleting only simple non-endpoint pixels
+def _peel_square_blocks(grid, ring):
+    """Zhang-Suen can leave 2x2 squares in staircase regions; peel them off
+    sequentially, visiting each round's block members in raster order and
+    deleting the _PEEL ones, until no block is left or a round deletes
+    nothing (no simple pixel left: give up rather than disconnect)."""
+    buf = grid.reshape(-1)
+    w = grid.shape[1]
+    corner = (0, 1, w, w + 1)
     while True:
-        blocks = skel[:-1, :-1] & skel[1:, :-1] & skel[:-1, 1:] & skel[1:, 1:]
-        if not blocks.any():
+        # the zero border keeps a block's corners from wrapping across rows
+        tops = np.flatnonzero(buf[: -w - 1] & buf[1:-w] & buf[w:-1] & buf[w + 1 :])
+        if tops.size == 0:
             return
-        member = np.zeros_like(skel)
-        member[:-1, :-1] |= blocks
-        member[1:, :-1] |= blocks
-        member[:-1, 1:] |= blocks
-        member[1:, 1:] |= blocks
         changed = False
-        for r, c in zip(*np.nonzero(member)):
-            if not skel[r, c]:
-                continue
-            if not _in_full_block(skel, r, c):
-                continue
-            if neighbor_count(skel, r, c) >= 2 and _is_simple(skel, r, c):
-                skel[r, c] = False
+        for i in np.unique(tops[:, None] + corner):
+            if buf[i] and _PEEL[_codes(buf, i, ring)]:
+                buf[i] = 0
                 changed = True
         if not changed:
-            return  # no simple pixel left; give up rather than disconnect
-
-
-def _in_full_block(skel, r, c):
-    h, w = skel.shape
-    for r0 in (r - 1, r):
-        for c0 in (c - 1, c):
-            if 0 <= r0 and r0 + 1 < h and 0 <= c0 and c0 + 1 < w:
-                if skel[r0, c0] and skel[r0 + 1, c0] and skel[r0, c0 + 1] and skel[r0 + 1, c0 + 1]:
-                    return True
-    return False
+            return
 
 
 def thin_to_convergence(img):
@@ -420,12 +401,8 @@ def thin_to_convergence(img):
     A pixel's deletability under a step changes only when its 3x3
     neighborhood does, so after the first pass a subiteration re-tests just
     the foreground pixels next to the previous two subiterations' deletions."""
-    img = np.asarray(img, dtype=bool)
-    h, w = img.shape
-    grid = np.zeros((h + 2, w + 2), dtype=np.uint8)
-    grid[1:-1, 1:-1] = img
+    grid, ring = _bordered(img)
     buf = grid.reshape(-1)
-    ring = np.array([dr * (w + 2) + dc for dr, dc in _RING])
     stamp = np.empty(buf.size, dtype=np.intp)
     touched = [None, None]  # neighbors of the last two subiterations' deletions
     while True:
@@ -441,25 +418,20 @@ def thin_to_convergence(img):
             changed = changed or gone.size > 0
         if not changed:
             break
-    skel = grid[1:-1, 1:-1].astype(bool)
-    _dissolve_square_blocks(skel)
-    return skel
+    _peel_square_blocks(grid, ring)
+    return grid[1:-1, 1:-1].astype(bool)
 
 
-def _fg_neighbors(img, r, c):
-    h, w = img.shape
-    return [(r + dr, c + dc) for dr, dc in _RING if 0 <= r + dr < h and 0 <= c + dc < w and img[r + dr, c + dc]]
-
-
-def _walk_spur(img, r, c, max_spur):
-    """Follow a branch from an endpoint until the path forks (the junction
-    anchor); return the spur pixels if that happens within max_spur steps,
-    None for dead ends (no junction) or longer branches."""
-    path = [(r, c)]
+def _walk_spur(buf, start, ring, max_spur):
+    """Follow a branch of the bordered grid's buffer from an endpoint until
+    the path forks (the junction anchor); return the spur's flat indices if
+    that happens within max_spur steps, None for dead ends (no junction) or
+    longer branches."""
+    path = [start]
     prev = None
-    cur = (r, c)
+    cur = start
     while len(path) <= max_spur:
-        nbrs = [p for p in _fg_neighbors(img, *cur) if p != prev]
+        nbrs = [j for j in cur + ring if buf[j] and j != prev]
         if len(nbrs) == 0:
             return None  # isolated stroke, nothing to anchor the spur
         if len(nbrs) >= 2:
@@ -472,22 +444,20 @@ def _walk_spur(img, r, c, max_spur):
 def prune(img, max_spur=3):
     """Delete junction-anchored spurs of length <= max_spur, repeatedly.
     Branches with no junction anchor (isolated strokes) are kept."""
-    out = np.array(img, dtype=bool)
-    if max_spur <= 0:
-        return out
-    changed = True
+    grid, ring = _bordered(img)
+    buf = grid.reshape(-1)
+    changed = max_spur > 0
     while changed:
         changed = False
-        counts = neighbor_count_grid(out)
-        for r, c in np.argwhere(out & (counts == 1)):
-            if not out[r, c]:
-                continue
-            spur = _walk_spur(out, int(r), int(c), max_spur)
+        fg = np.flatnonzero(buf)
+        # a walk deletes only its start among this round's endpoints: every
+        # later pixel of a spur has two or more neighbors
+        for i in fg[buf[fg[:, None] + ring].sum(axis=1) == 1]:
+            spur = _walk_spur(buf, i, ring, max_spur)
             if spur is not None:
-                for rr, cc in spur:
-                    out[rr, cc] = False
+                buf[spur] = 0
                 changed = True
-    return out
+    return grid[1:-1, 1:-1].astype(bool)
 
 
 # ---------------------------------------------------------------------------

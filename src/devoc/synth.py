@@ -201,7 +201,9 @@ def generate_corpus(templates, per_class, amplitude=0, seed=0):
     """per_class jittered renderings per template; pure function of its
     arguments (per-sample seeds derive from (seed, template id, index))."""
     if per_class < 1:
-        raise ValueError("per_class must be >= 1")
+        raise ValueError("per_class must be >= 1, got %d" % per_class)
+    if not 0 <= amplitude <= 3:
+        raise ValueError("amplitude must be in 0..3, got %d" % amplitude)
     samples = []
     for tpl in templates:
         group = group_name(tpl.truth)

@@ -115,6 +115,27 @@ class TestSynthCommand:
         rel = synth.read_manifest(a)[0].path
         assert open(os.path.join(a, rel), "rb").read() != open(os.path.join(b, rel), "rb").read()
 
+    def test_zero_per_class_is_io_error(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert cli.main(["--quiet", "synth", out, "--per-class", "0"]) == cli.EXIT_IO
+        assert "error: per_class must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_zero_per_class_in_config_file_is_io_error(self, tmp_path, capsys):
+        cfg = tmp_path / "devoc.cfg"
+        cfg.write_text("per_class = 0\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["--quiet", "--config", str(cfg), "synth", out]) == cli.EXIT_IO
+        assert "error: per_class must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("amplitude", ["-3", "9"])
+    def test_amplitude_outside_0_to_3_is_io_error(self, tmp_path, capsys, amplitude):
+        out = str(tmp_path / "out")
+        assert cli.main(["--quiet", "synth", out, "--per-class", "1", "--amplitude", amplitude]) == cli.EXIT_IO
+        assert "error: amplitude must be in 0..3" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestTrainCommand:
     def test_model_files_exist(self, workspace):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from devoc import raster, synth
 from devoc.raster import (
@@ -26,30 +27,30 @@ def write(tmp_path, name, data):
 
 class TestPbm:
     def test_p1_basic(self, tmp_path):
-        img = raster.load_pbm(write(tmp_path, "a.pbm", "P1\n2 2\n1 0\n0 1"))
+        img = raster.load_image(write(tmp_path, "a.pbm", "P1\n2 2\n1 0\n0 1"))
         assert img.shape == (2, 2)
         assert img[0, 0] and img[1, 1]
         assert not img[0, 1] and not img[1, 0]
 
     def test_p1_single_background(self, tmp_path):
-        img = raster.load_pbm(write(tmp_path, "a.pbm", "P1\n1 1\n0"))
+        img = raster.load_image(write(tmp_path, "a.pbm", "P1\n1 1\n0"))
         assert img.shape == (1, 1) and not img.any()
 
     def test_p1_pixel_count_mismatch(self, tmp_path):
         with pytest.raises(DimensionMismatchError):
-            raster.load_pbm(write(tmp_path, "a.pbm", "P1\n3 3\n1 0 1 0 1 0 1 0"))
+            raster.load_image(write(tmp_path, "a.pbm", "P1\n3 3\n1 0 1 0 1 0 1 0"))
 
     def test_p1_comments_and_packed_digits(self, tmp_path):
-        img = raster.load_pbm(write(tmp_path, "a.pbm", "P1\n# hi\n2 2 # dims\n1001"))
+        img = raster.load_image(write(tmp_path, "a.pbm", "P1\n# hi\n2 2 # dims\n1001"))
         assert img[0, 0] and img[1, 1] and not img[0, 1]
 
     def test_p1_non_digit_pixel_byte(self, tmp_path):
         with pytest.raises(MalformedHeaderError, match="bad P1 pixel byte b'2'"):
-            raster.load_pbm(write(tmp_path, "a.pbm", "P1\n2 2\n1 0 # 2 in a comment\n2 1"))
+            raster.load_image(write(tmp_path, "a.pbm", "P1\n2 2\n1 0 # 2 in a comment\n2 1"))
 
     def test_bad_magic(self, tmp_path):
         with pytest.raises(MalformedHeaderError):
-            raster.load_pbm(write(tmp_path, "a.pbm", "P7\n1 1\n0"))
+            raster.load_image(write(tmp_path, "a.pbm", "P7\n1 1\n0"))
 
     def test_p4_round_trip_via_bits(self, tmp_path):
         # 10 wide so the row padding path is exercised
@@ -57,23 +58,23 @@ class TestPbm:
         img = rng.random((5, 10)) < 0.4
         packed = np.packbits(img, axis=1)
         data = b"P4\n10 5\n" + packed.tobytes()
-        got = raster.load_pbm(write(tmp_path, "a.pbm", data))
+        got = raster.load_image(write(tmp_path, "a.pbm", data))
         assert np.array_equal(got, img)
 
     def test_p4_truncated(self, tmp_path):
         with pytest.raises(DimensionMismatchError):
-            raster.load_pbm(write(tmp_path, "a.pbm", b"P4\n10 5\n\x00\x01"))
+            raster.load_image(write(tmp_path, "a.pbm", b"P4\n10 5\n\x00\x01"))
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         img = rng.random((13, 17)) < 0.3
         path = str(tmp_path / "rt.pbm")
         raster.save_pbm(path, img)
-        assert np.array_equal(raster.load_pbm(path), img)
+        assert np.array_equal(raster.load_image(path), img)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(raster.RasterError):
-            raster.load_pbm(str(tmp_path / "nope.pbm"))
+            raster.load_image(str(tmp_path / "nope.pbm"))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -113,12 +114,12 @@ class TestAtomicWrite:
 
 class TestPgm:
     def test_p2_threshold_darker_is_foreground(self, tmp_path):
-        img = raster.load_pgm(write(tmp_path, "a.pgm", "P2\n3 1\n255\n0 127 255"))
+        img = raster.load_image(write(tmp_path, "a.pgm", "P2\n3 1\n255\n0 127 255"))
         assert img.tolist() == [[True, True, False]]
 
     def test_p5_binary(self, tmp_path):
         data = b"P5\n2 2\n255\n" + bytes([0, 200, 10, 255])
-        img = raster.load_pgm(write(tmp_path, "a.pgm", data))
+        img = raster.load_image(write(tmp_path, "a.pgm", data))
         assert img.tolist() == [[True, False], [True, False]]
 
     def test_load_image_dispatch(self, tmp_path):
@@ -253,8 +254,38 @@ class TestThin:
         assert flood_fill_components(out) == 2
 
 
+# The oracles below are the whole-image and per-pixel versions of the
+# thinner, the square-block cleanup and the spur pruner, written with
+# bounds-checked (row, col) helpers. They share no code with devoc.raster.
+
+# 8-neighbor offsets in Zhang-Suen order P2..P9 (N, NE, E, SE, S, SW, W, NW)
+_RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+
+def _ring_planes(img):
+    p = np.pad(img, 1)
+    h, w = img.shape
+    return tuple(p[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w] for dr, dc in _RING)
+
+
+def _reference_spare_doomed(skel, dele):
+    # parallel deletion can wipe out tiny components (isolated 2x2 squares);
+    # keep one pixel of any component that would vanish entirely
+    lab, n = ndimage.label(skel, structure=np.ones((3, 3), dtype=int))
+    if n == 0:
+        return
+    sizes = np.bincount(lab.ravel(), minlength=n + 1)
+    killed = np.bincount(lab[dele], minlength=n + 1)
+    doomed = np.nonzero((killed == sizes) & (sizes > 0))[0]
+    for comp in doomed:
+        if comp == 0:
+            continue
+        rr, cc = np.nonzero(lab == comp)
+        dele[rr[0], cc[0]] = False
+
+
 def _reference_subpass(skel, step):
-    ring = raster._zs_ring(skel)
+    ring = _ring_planes(skel)
     stack = np.stack(ring).astype(np.uint8)
     B = stack.sum(axis=0)
     A = ((stack == 0) & (np.roll(stack, -1, axis=0) == 1)).sum(axis=0)
@@ -266,11 +297,64 @@ def _reference_subpass(skel, step):
     dele = skel & (B >= 2) & (B <= 6) & (A == 1) & cond
     if not dele.any():
         return False
-    raster._spare_doomed(skel, dele)
+    _reference_spare_doomed(skel, dele)
     if not dele.any():
         return False
     skel &= ~dele
     return True
+
+
+def _ring_values(skel, r, c):
+    """The 8 neighbors of (r, c) in _RING order; off-image counts as background."""
+    h, w = skel.shape
+    out = []
+    for dr, dc in _RING:
+        rr, cc = r + dr, c + dc
+        out.append(bool(skel[rr, cc]) if 0 <= rr < h and 0 <= cc < w else False)
+    return out
+
+
+def _is_simple(skel, r, c):
+    # deletable without splitting the local foreground: exactly one 0->1
+    # transition around the ring (Rutovitz crossing number == 1)
+    ring = _ring_values(skel, r, c)
+    trans = sum(1 for a, b in zip(ring, ring[1:] + ring[:1]) if not a and b)
+    return trans == 1
+
+
+def reference_dissolve(skel):
+    # Zhang-Suen can leave 2x2 squares in staircase regions; peel them off
+    # sequentially, deleting only simple non-endpoint pixels
+    while True:
+        blocks = skel[:-1, :-1] & skel[1:, :-1] & skel[:-1, 1:] & skel[1:, 1:]
+        if not blocks.any():
+            return
+        member = np.zeros_like(skel)
+        member[:-1, :-1] |= blocks
+        member[1:, :-1] |= blocks
+        member[:-1, 1:] |= blocks
+        member[1:, 1:] |= blocks
+        changed = False
+        for r, c in zip(*np.nonzero(member)):
+            if not skel[r, c]:
+                continue
+            if not _in_full_block(skel, r, c):
+                continue
+            if brute_neighbor_count(skel, r, c) >= 2 and _is_simple(skel, r, c):
+                skel[r, c] = False
+                changed = True
+        if not changed:
+            return  # no simple pixel left; give up rather than disconnect
+
+
+def _in_full_block(skel, r, c):
+    h, w = skel.shape
+    for r0 in (r - 1, r):
+        for c0 in (c - 1, c):
+            if 0 <= r0 and r0 + 1 < h and 0 <= c0 and c0 + 1 < w:
+                if skel[r0, c0] and skel[r0 + 1, c0] and skel[r0, c0 + 1] and skel[r0 + 1, c0 + 1]:
+                    return True
+    return False
 
 
 def reference_thin(img):
@@ -283,8 +367,52 @@ def reference_thin(img):
         c2 = _reference_subpass(skel, 2)
         if not (c1 or c2):
             break
-    raster._dissolve_square_blocks(skel)
+    reference_dissolve(skel)
     return skel
+
+
+def _fg_neighbors(img, r, c):
+    h, w = img.shape
+    return [(r + dr, c + dc) for dr, dc in _RING if 0 <= r + dr < h and 0 <= c + dc < w and img[r + dr, c + dc]]
+
+
+def _walk_spur(img, r, c, max_spur):
+    """Follow a branch from an endpoint until the path forks (the junction
+    anchor); return the spur pixels if that happens within max_spur steps,
+    None for dead ends (no junction) or longer branches."""
+    path = [(r, c)]
+    prev = None
+    cur = (r, c)
+    while len(path) <= max_spur:
+        nbrs = [p for p in _fg_neighbors(img, *cur) if p != prev]
+        if len(nbrs) == 0:
+            return None  # isolated stroke, nothing to anchor the spur
+        if len(nbrs) >= 2:
+            return path  # cur attaches to the main structure
+        prev, cur = cur, nbrs[0]
+        path.append(cur)
+    return None
+
+
+def reference_prune(img, max_spur=3):
+    """Delete junction-anchored spurs of length <= max_spur, repeatedly.
+    Branches with no junction anchor (isolated strokes) are kept."""
+    out = np.array(img, dtype=bool)
+    if max_spur <= 0:
+        return out
+    changed = True
+    while changed:
+        changed = False
+        counts = sum(plane.astype(np.int32) for plane in _ring_planes(out))
+        for r, c in np.argwhere(out & (counts == 1)):
+            if not out[r, c]:
+                continue
+            spur = _walk_spur(out, int(r), int(c), max_spur)
+            if spur is not None:
+                for rr, cc in spur:
+                    out[rr, cc] = False
+                changed = True
+    return out
 
 
 def assert_matches_reference(img):
@@ -293,17 +421,43 @@ def assert_matches_reference(img):
     assert np.array_equal(out, reference_thin(img))
 
 
+def assert_prune_matches_reference(img, max_spur):
+    out = raster.prune(img, max_spur)
+    assert out.dtype == bool
+    assert np.array_equal(out, reference_prune(img, max_spur))
+
+
+def random_array(h, w, density, seed):
+    return np.random.default_rng(seed).random((h, w)) < density
+
+
 class TestThinMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 48), st.integers(1, 48), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
     def test_random_arrays(self, h, w, density, seed):
-        assert_matches_reference(np.random.default_rng(seed).random((h, w)) < density)
+        assert_matches_reference(random_array(h, w, density, seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 48), st.integers(1, 48), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    def test_square_block_cleanup_on_raw_arrays(self, h, w, density, seed):
+        # raw random arrays are full of 2x2 blocks, which thinned glyphs
+        # almost never keep, so this is where the cleanup does its work
+        img = random_array(h, w, density, seed)
+        grid, ring = raster._bordered(img)
+        raster._peel_square_blocks(grid, ring)
+        expect = img.copy()
+        reference_dissolve(expect)
+        assert np.array_equal(grid[1:-1, 1:-1].view(bool), expect)
 
     def test_corpus_glyphs_at_one_pixel_and_thick_pen(self, templates):
         for s in synth.generate_corpus(templates, 2, amplitude=2):
             thick = raster.thicken(np.repeat(np.repeat(s.image, 2, axis=0), 2, axis=1))
             for img in (s.image, thick):
-                assert_matches_reference(raster.thicken(raster.crop(img, raster.bounding_box(img))))
+                glyph = raster.thicken(raster.crop(img, raster.bounding_box(img)))
+                assert_matches_reference(glyph)
+                skel = raster.thin_to_convergence(glyph)
+                for max_spur in (1, 3, 6):
+                    assert_prune_matches_reference(skel, max_spur)
 
     def test_component_check_runs_only_when_a_component_can_vanish(self, monkeypatch):
         calls = []
@@ -352,6 +506,19 @@ class TestPrune:
         img[0:5, 10] = True  # 5-pixel branch
         out = raster.prune(img, max_spur=3)
         assert out[0:5, 10].all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 48),
+        st.integers(1, 48),
+        st.floats(0.05, 0.95),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 6),
+        st.booleans(),
+    )
+    def test_matches_reference(self, h, w, density, seed, max_spur, thinned):
+        img = random_array(h, w, density, seed)
+        assert_prune_matches_reference(raster.thin_to_convergence(img) if thinned else img, max_spur)
 
 
 class TestNormalize:

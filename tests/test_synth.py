@@ -120,6 +120,11 @@ class TestCorpus:
         with pytest.raises(ValueError):
             synth.generate_corpus(templates, 0)
 
+    @pytest.mark.parametrize("amplitude", [-1, 4])
+    def test_amplitude_must_be_in_0_to_3(self, templates, amplitude):
+        with pytest.raises(ValueError, match="amplitude"):
+            synth.generate_corpus(templates, 1, amplitude)
+
     def test_write_read_round_trip(self, templates, tmp_path):
         root = str(tmp_path / "corpus")
         samples = synth.generate_corpus(templates[:3], per_class=4, amplitude=1, seed=1)
@@ -129,7 +134,7 @@ class TestCorpus:
         for e, s in zip(entries, samples):
             assert e.class_label == s.class_label
             assert e.group == s.group and e.split == s.split
-            img = raster.load_pbm(str(tmp_path / "corpus" / e.path))
+            img = raster.load_image(str(tmp_path / "corpus" / e.path))
             assert np.array_equal(img, s.image)
 
     def test_read_manifest_missing(self, tmp_path):
