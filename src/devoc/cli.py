@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Subcommands: inspect, synth, train, eval, predict. Exit codes are a stable
-scripting contract: 0 success, 1 I/O or format error, 2 empty/degenerate
-input, 3 insufficient data.
+scripting contract: 0 success, 1 I/O, format or bad-value error, 2
+empty/degenerate input, 3 insufficient data. `FAILURES` maps each error
+class to its code, and `main` holds the only handler.
 """
 
 from __future__ import annotations
@@ -63,16 +64,7 @@ def _overlay(points):
 
 
 def _cmd_inspect(args, cfg, say):
-    try:
-        img = raster.load_image(args.input)
-    except raster.RasterError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    try:
-        analysis = pipeline.analyze_glyph(img, cfg)
-    except raster.EmptyImageError:
-        print("empty glyph", file=sys.stderr)
-        return EXIT_EMPTY
+    analysis = pipeline.analyze_glyph(raster.load_image(args.input), cfg)
     os.makedirs(args.outdir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.input))[0]
     raster.save_pbm(os.path.join(args.outdir, stem + ".skel.pbm"), analysis.skeleton)
@@ -87,48 +79,22 @@ def _cmd_inspect(args, cfg, say):
         "features: %s" % " ".join(str(int(v)) for v in analysis.raw_features),
     ]
     raster.atomic_write_bytes(
-        os.path.join(args.outdir, stem + ".summary.txt"), ("\n".join(lines) + "\n").encode("ascii")
+        os.path.join(args.outdir, stem + ".summary.txt"), ("\n".join(lines) + "\n").encode("utf-8")
     )
     say("wrote %s artifacts to %s" % (stem, args.outdir))
-    return EXIT_OK
 
 
 def _cmd_synth(args, cfg, say):
     per_class = args.per_class if args.per_class is not None else cfg.per_class
     amplitude = args.amplitude if args.amplitude is not None else cfg.amplitude
-    try:
-        samples = synth.generate_corpus(synth.default_templates(), per_class, amplitude, cfg.seed)
-        synth.write_corpus(samples, args.outdir)
-    except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
+    samples = synth.generate_corpus(synth.default_templates(), per_class, amplitude, cfg.seed)
+    synth.write_corpus(samples, args.outdir)
     say("wrote %d samples to %s" % (len(samples), args.outdir))
-    return EXIT_OK
-
-
-def _empty_corpus_glyph(corpus, exc):
-    print("empty glyph in corpus %s: %s" % (corpus, exc), file=sys.stderr)
-    return EXIT_EMPTY
 
 
 def _cmd_train(args, cfg, say):
-    try:
-        samples = pipeline.load_corpus(args.corpus)
-    except (FileNotFoundError, ValueError, raster.RasterError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    try:
-        modelset, reports, routing_log = pipeline.train_all(samples, cfg)
-    except pipeline.InsufficientDataError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DATA
-    except raster.EmptyImageError as exc:
-        return _empty_corpus_glyph(args.corpus, exc)
-    try:
-        pipeline.save_modelset(args.modeldir, modelset)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
+    modelset, reports, routing_log = pipeline.train_all(pipeline.load_corpus(args.corpus), cfg)
+    pipeline.save_modelset(args.modeldir, modelset)
     for key in sorted(reports):
         rep = reports[key]
         say(
@@ -138,45 +104,25 @@ def _cmd_train(args, cfg, say):
     if routing_log:
         say("%d routing error(s) during training partition" % len(routing_log))
     say("models written to %s" % args.modeldir)
-    return EXIT_OK
 
 
 def _cmd_eval(args, cfg, say):
-    try:
-        samples = pipeline.load_corpus(args.corpus)
-        modelset = pipeline.load_modelset(args.modeldir)
-    except (FileNotFoundError, ValueError, raster.RasterError, pipeline.MalformedModelSetError, nn.NnError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    try:
-        report = pipeline.evaluate(samples, modelset, cfg)
-    except raster.EmptyImageError as exc:
-        return _empty_corpus_glyph(args.corpus, exc)
+    samples = pipeline.load_corpus(args.corpus)
+    report = pipeline.evaluate(samples, pipeline.load_modelset(args.modeldir), cfg)
     print(pipeline.render_report(report))
     raster.atomic_write_bytes(
-        os.path.join(args.modeldir, "report.csv"), pipeline.report_csv(report).encode("ascii")
+        os.path.join(args.modeldir, "report.csv"), pipeline.report_csv(report).encode("utf-8")
     )
     raster.atomic_write_bytes(
-        os.path.join(args.modeldir, "predictions.csv"), pipeline.predictions_csv(report).encode("ascii")
+        os.path.join(args.modeldir, "predictions.csv"), pipeline.predictions_csv(report).encode("utf-8")
     )
     say("report.csv and predictions.csv written to %s" % args.modeldir)
-    return EXIT_OK
 
 
 def _cmd_predict(args, cfg, say):
-    try:
-        img = raster.load_image(args.image)
-        modelset = pipeline.load_modelset(args.modeldir)
-    except (FileNotFoundError, raster.RasterError, pipeline.MalformedModelSetError, nn.NnError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    try:
-        pred = pipeline.recognize(img, modelset, cfg)
-    except raster.EmptyImageError:
-        print("empty glyph", file=sys.stderr)
-        return EXIT_EMPTY
+    img = raster.load_image(args.image)
+    pred = pipeline.recognize(img, pipeline.load_modelset(args.modeldir), cfg)
     print("%s\t%s\t%.6f" % (pred.label, structural.group_name(pred.group), pred.confidence))
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -188,21 +134,42 @@ _COMMANDS = {
 }
 
 
+# Ordered: an error takes the code of the first class it is an instance of
+# (EmptyImageError is a RasterError).
+FAILURES = (
+    (raster.EmptyImageError, EXIT_EMPTY),
+    (pipeline.InsufficientDataError, EXIT_DATA),
+    (raster.RasterError, EXIT_IO),
+    (pipeline.MalformedModelSetError, EXIT_IO),
+    (nn.NnError, EXIT_IO),
+    (ConfigError, EXIT_IO),
+    (OSError, EXIT_IO),
+    (ValueError, EXIT_IO),
+)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    if args.seed is not None:
-        cfg.seed = args.seed
 
     def say(msg):
         if not args.quiet:
             print(msg)
 
-    return _COMMANDS[args.command](args, cfg, say)
+    try:
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        _COMMANDS[args.command](args, cfg, say)
+    except tuple(cls for cls, _ in FAILURES) as exc:
+        code = next(code for cls, code in FAILURES if isinstance(exc, cls))
+        if code != EXIT_EMPTY:
+            print("error: %s" % exc, file=sys.stderr)
+        elif getattr(args, "corpus", None) is None:
+            print("empty glyph", file=sys.stderr)
+        else:
+            print("empty glyph in corpus %s: %s" % (args.corpus, exc), file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -7,9 +7,11 @@ defaults; an absent file means pure defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 
 from .nn import TrainConfig
+from .raster import read_utf8
 from .structural import StructuralConfig
 
 
@@ -38,6 +40,11 @@ class Config(StructuralConfig, TrainConfig):
     amplitude: int = 2
     per_class: int = 100
 
+    def validate(self):
+        super().validate()
+        if not self.feature_cap > 0:
+            raise ValueError("feature_cap must be positive")
+
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(Config)}
 
@@ -47,31 +54,36 @@ def _coerce(key, text):
     try:
         if kind == "int":
             return int(text)
-        if kind == "float":
+        if kind == "str":
+            return text
+        if math.isfinite(float(text)):
             return float(text)
-        return text
     except ValueError:
-        raise BadConfigValueError("bad value %r for key %r" % (text, key))
+        pass
+    raise BadConfigValueError("bad value %r for key %r" % (text, key))
 
 
 def load_config(path=None):
-    """Parse `key = value` lines ('#' comments); None or a missing default
-    path yields defaults."""
+    """Parse `key = value` lines ('#' comments) into a validated Config;
+    None yields defaults."""
     cfg = Config()
     if path is None:
         return cfg
     if not os.path.exists(path):
         raise ConfigError("config file %s does not exist" % path)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected 'key = value'" % (path, lineno))
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _FIELDS:
-                raise UnknownConfigKeyError("%s:%d: unknown key %r" % (path, lineno, key))
-            setattr(cfg, key, _coerce(key, value.strip()))
+    for lineno, line in enumerate(read_utf8(path, ConfigError).splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected 'key = value'" % (path, lineno))
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _FIELDS:
+            raise UnknownConfigKeyError("%s:%d: unknown key %r" % (path, lineno, key))
+        setattr(cfg, key, _coerce(key, value.strip()))
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise BadConfigValueError("%s: %s" % (path, exc))
     return cfg

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .raster import atomic_write_bytes
+from .raster import atomic_write_bytes, read_utf8
 
 MODEL_MAGIC = "DEVOC-MLP"
 MODEL_VERSION = 1
@@ -98,6 +98,8 @@ class TrainConfig:
             raise ValueError("min_gradient must be positive")
         if self.trainer not in ("scg", "momentum"):
             raise ValueError("unknown trainer %r" % self.trainer)
+        if self.n_hidden < 1:
+            raise ValueError("n_hidden must be >= 1")
 
 
 @dataclass
@@ -359,18 +361,15 @@ def save_model(path, net, labels):
     ]
     for v in flatten_params(net):
         lines.append(format(v, ".17g"))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_model(path):
     """Inverse of save_model; returns (net, labels)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = read_utf8(path, MalformedModelFileError).splitlines()
     except OSError as exc:
         raise MalformedModelFileError("cannot read %s: %s" % (path, exc))
-    except UnicodeDecodeError as exc:
-        raise MalformedModelFileError("%s is not UTF-8 text: %s" % (path, exc))
     if len(lines) < 4:
         raise MalformedModelFileError("model file too short")
     head = lines[0].split()

@@ -323,7 +323,7 @@ def save_modelset(dirpath, modelset):
         nn.save_model(os.path.join(dirpath, fname), net, labels)
         lines.append("%s %s" % (key, fname))
     raster.atomic_write_bytes(
-        os.path.join(dirpath, MODELSET_NAME), ("\n".join(lines) + "\n").encode("ascii")
+        os.path.join(dirpath, MODELSET_NAME), ("\n".join(lines) + "\n").encode("utf-8")
     )
 
 
@@ -331,11 +331,7 @@ def load_modelset(dirpath):
     manifest = os.path.join(dirpath, MODELSET_NAME)
     if not os.path.exists(manifest):
         raise FileNotFoundError("no %s in %s" % (MODELSET_NAME, dirpath))
-    try:
-        with open(manifest, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise MalformedModelSetError("%s is not UTF-8 text: %s" % (manifest, exc))
+    lines = raster.read_utf8(manifest, MalformedModelSetError).splitlines()
     if not lines or lines[0] != MODELSET_MAGIC:
         raise MalformedModelSetError("bad modelset header")
     modelset = GroupModelSet()

@@ -221,6 +221,16 @@ def atomic_write_bytes(path, data):
         raise
 
 
+def read_utf8(path, error):
+    """The text of path, line ends as written; raises error(message naming
+    the file) when it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error("%s is not UTF-8 text: %s" % (path, exc))
+
+
 # ---------------------------------------------------------------------------
 # Geometry
 

@@ -9,6 +9,7 @@ groups that carry the reported results, three character classes each.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import zlib
 from dataclasses import dataclass
@@ -229,7 +230,7 @@ def write_corpus(samples, root):
     manifest = os.path.join(root, MANIFEST_NAME)
     lines = ["path,class_label,group,split"]
     lines += [",".join(row) for row in rows]
-    raster.atomic_write_bytes(manifest, ("\n".join(lines) + "\n").encode("ascii"))
+    raster.atomic_write_bytes(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -241,17 +242,25 @@ class CorpusEntry:
 
 
 def read_manifest(root):
+    """Rows of <root>/manifest.csv. Raises ValueError naming the file when it
+    is not UTF-8, and its line too for malformed CSV, a row with an empty or
+    missing field, or a split other than train/test."""
     manifest = os.path.join(root, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise FileNotFoundError("no %s in %s" % (MANIFEST_NAME, root))
+    reader = csv.DictReader(io.StringIO(raster.read_utf8(manifest, ValueError), newline=""))
+    fields = ("path", "class_label", "group", "split")
     entries = []
-    with open(manifest, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"path", "class_label", "group", "split"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError("manifest missing columns %s" % sorted(required))
+    try:
+        if reader.fieldnames is None or not set(fields).issubset(reader.fieldnames):
+            raise ValueError("%s: missing columns %s" % (manifest, sorted(fields)))
         for row in reader:
-            entries.append(
-                CorpusEntry(row["path"], row["class_label"], row["group"], row["split"])
-            )
+            where = "%s:%d" % (manifest, reader.line_num)
+            if not all(row[f] for f in fields):
+                raise ValueError("%s: empty or missing field" % where)
+            if row["split"] not in ("train", "test"):
+                raise ValueError("%s: split %r is not train or test" % (where, row["split"]))
+            entries.append(CorpusEntry(*(row[f] for f in fields)))
+    except csv.Error as exc:
+        raise ValueError("%s:%d: %s" % (manifest, reader.reader.line_num, exc))
     return entries

@@ -1,9 +1,14 @@
 import dataclasses
 import os
 import shutil
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devoc import cli, raster, synth
 from devoc.config import (
@@ -29,6 +34,24 @@ def workspace(tmp_path_factory):
 def copy_models(models, tmp_path):
     """A private copy of the shared model set, safe to corrupt."""
     return shutil.copytree(models, str(tmp_path / "models"))
+
+
+def first_glyph(corpus):
+    return os.path.join(corpus, synth.read_manifest(corpus)[0].path)
+
+
+def with_config(tmp_path, data):
+    path = tmp_path / "devoc.cfg"
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    return ["--config", str(path)]
+
+
+def edited_corpus(corpus, tmp_path, edit):
+    """A private copy of the shared corpus whose manifest text is edit(text)."""
+    corpus = shutil.copytree(corpus, str(tmp_path / "corpus"))
+    manifest = tmp_path / "corpus" / "manifest.csv"
+    manifest.write_text(edit(manifest.read_text(encoding="utf-8")), encoding="utf-8")
+    return corpus
 
 
 class TestConfigFile:
@@ -85,6 +108,23 @@ class TestConfigFile:
         p = tmp_path / "c.cfg"
         p.write_text("just some words\n")
         with pytest.raises(ConfigError):
+            load_config(str(p))
+
+    @pytest.mark.parametrize(
+        "line",
+        ["full_span = nan", "learning_rate = inf", "drift_tol_frac = -inf", "n_hidden = 0",
+         "feature_cap = -1", "trainer = foo"],
+    )
+    def test_out_of_range_value_fails_at_load(self, tmp_path, line):
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(BadConfigValueError, match=line.split()[0]):
+            load_config(str(p))
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"seed = 1\n\xff\n")
+        with pytest.raises(ConfigError, match="c.cfg is not UTF-8 text"):
             load_config(str(p))
 
 
@@ -296,3 +336,119 @@ class TestGlobalFlags:
         out = str(tmp_path / "o")
         assert cli.main(["--config", str(p), "--quiet", "synth", out]) == cli.EXIT_OK
         assert len(synth.read_manifest(out)) == 24
+
+
+def _train(cfg):
+    return lambda ws, tmp: with_config(tmp, cfg) + ["train", ws[0], str(tmp / "m")]
+
+
+def _predict(cfg):
+    return lambda ws, tmp: with_config(tmp, cfg) + ["predict", first_glyph(ws[0]), ws[1]]
+
+
+def _eval(cfg):
+    return lambda ws, tmp: with_config(tmp, cfg) + ["eval", ws[0], copy_models(ws[1], tmp)]
+
+
+def _train_on_manifest(edit):
+    return lambda ws, tmp: ["train", edited_corpus(ws[0], tmp, edit), str(tmp / "m")]
+
+
+def _inspect_into_file(ws, tmp):
+    (tmp / "taken").write_text("")
+    return ["inspect", first_glyph(ws[0]), str(tmp / "taken")]
+
+
+def _eval_report_is_dir(ws, tmp):
+    models = copy_models(ws[1], tmp)
+    report = os.path.join(models, "report.csv")
+    if os.path.exists(report):  # left by an earlier eval of the shared models
+        os.remove(report)
+    os.mkdir(report)
+    return ["eval", ws[0], models]
+
+
+# Bad inputs that must exit 1 with an error line: no traceback, no silent
+# success on a value the program cannot use.
+BAD_INPUTS = {
+    "train-negative-learning-rate": _train("learning_rate = -1"),
+    "train-unknown-trainer": _train("trainer = foo"),
+    "train-zero-hidden": _train("n_hidden = 0"),
+    "train-momentum-nan-learning-rate": _train("trainer = momentum\nlearning_rate = nan"),
+    "train-negative-feature-cap": _train("feature_cap = -1"),
+    "predict-zero-feature-cap": _predict("feature_cap = 0"),
+    "predict-nan-full-span": _predict("full_span = nan"),
+    "eval-zero-feature-cap": _eval("feature_cap = 0"),
+    "config-not-utf8": lambda ws, tmp: with_config(tmp, b"seed = 1\n\xff\n") + ["synth", str(tmp / "o")],
+    "config-is-directory": lambda ws, tmp: ["--config", str(tmp), "synth", str(tmp / "o")],
+    "inspect-outdir-is-file": _inspect_into_file,
+    "eval-report-csv-is-directory": _eval_report_is_dir,
+    "manifest-missing-field": _train_on_manifest(lambda t: t + "full_end/cha/0000.pbm,cha,full_end\n"),
+    "manifest-field-over-128k": _train_on_manifest(lambda t: t + "x" * (128 * 1024 + 1) + ",cha,full_end,train\n"),
+    "manifest-unknown-split": _train_on_manifest(
+        lambda t: t.replace(",train\n", ",bogus\n").replace(",test\n", ",bogus\n")
+    ),
+}
+
+
+class TestFailureTable:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_1_with_error_line(self, workspace, tmp_path, capsys, case):
+        assert cli.main(["--quiet"] + BAD_INPUTS[case](workspace, tmp_path)) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_module_run_prints_no_traceback(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        argv = with_config(tmp_path, "learning_rate = -1\n") + ["synth", str(tmp_path / "o")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "devoc.cli"] + argv, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == cli.EXIT_IO
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    HEADS = {
+        "config": [b""] + [key.encode() + b" = " for key in dataclasses.asdict(Config())],
+        "manifest": [b"", b"path,class_label,group,split\n"],
+        "modelset": [b"", b"DEVOC-MODELSET v1\n", b"DEVOC-MODELSET v1\nfull_end "],
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        head=st.sampled_from([(name, head) for name, heads in HEADS.items() for head in heads]),
+        tail=st.binary(max_size=200),
+    )
+    def test_arbitrary_file_bytes_give_an_exit_code(self, workspace, head, tail):
+        corpus, models = workspace
+        target, data = head[0], head[1] + tail
+        with tempfile.TemporaryDirectory() as tmp:
+            if target == "config":
+                argv = ["--config", os.path.join(tmp, "devoc.cfg"), "predict", first_glyph(corpus), models]
+                path = argv[1]
+            elif target == "manifest":
+                argv = ["train", tmp, os.path.join(tmp, "m")]
+                path = os.path.join(tmp, "manifest.csv")
+            else:
+                broken = shutil.copytree(models, os.path.join(tmp, "models"))
+                argv = ["predict", first_glyph(corpus), broken]
+                path = os.path.join(broken, "modelset.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            assert cli.main(["--quiet"] + argv) in (0, 1, 2, 3)
+
+
+def test_devanagari_label_round_trip(tmp_path, capsys):
+    cha, *rest = synth.default_templates()[:3]  # the three full_end classes
+    templates = [dataclasses.replace(cha, class_label="च")] + rest
+    corpus = str(tmp_path / "corpus")
+    models = str(tmp_path / "models")
+    synth.write_corpus(synth.generate_corpus(templates, per_class=4), corpus)
+    assert cli.main(["--quiet", "train", corpus, models]) == cli.EXIT_OK
+    assert cli.main(["--quiet", "eval", corpus, models]) == cli.EXIT_OK
+    labels = open(os.path.join(models, "full_end.mlp"), encoding="utf-8").read().splitlines()[3]
+    assert labels == "labels kha,ssa,च"
+    predictions = open(os.path.join(models, "predictions.csv"), encoding="utf-8").read()
+    assert "full_end/च/0000.pbm,च,full_end,च," in predictions
+    capsys.readouterr()
+    assert cli.main(["--quiet", "predict", os.path.join(corpus, "full_end", "च", "0001.pbm"), models]) == 0
+    assert capsys.readouterr().out.split("\t")[:2] == ["च", "full_end"]

@@ -263,6 +263,7 @@ class TestTrainConfig:
             TrainConfig(momentum=1.0),
             TrainConfig(min_gradient=0),
             TrainConfig(trainer="adam"),
+            TrainConfig(n_hidden=0),
         ):
             with pytest.raises(ValueError):
                 bad.validate()

@@ -145,3 +145,23 @@ class TestCorpus:
         (tmp_path / "manifest.csv").write_text("path,split\nx,train\n")
         with pytest.raises(ValueError):
             synth.read_manifest(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("b.pbm,cha,full_end", "empty or missing field"),
+            ("b.pbm,,full_end,test", "empty or missing field"),
+            ("b.pbm,cha,full_end,bogus", "split 'bogus' is not train or test"),
+            ("x" * (128 * 1024 + 1) + ",cha,full_end,train", "field larger than field limit"),
+        ],
+        ids=["missing-field", "empty-field", "bad-split", "field-over-128k"],
+    )
+    def test_read_manifest_bad_row_names_its_line(self, tmp_path, row, message):
+        (tmp_path / "manifest.csv").write_text("path,class_label,group,split\na.pbm,cha,full_end,train\n%s\n" % row)
+        with pytest.raises(ValueError, match="manifest.csv:3: " + message):
+            synth.read_manifest(str(tmp_path))
+
+    def test_read_manifest_not_utf8(self, tmp_path):
+        (tmp_path / "manifest.csv").write_bytes(b"path,class_label,group,split\n\xff.pbm,cha,full_end,train\n")
+        with pytest.raises(ValueError, match="manifest.csv is not UTF-8 text"):
+            synth.read_manifest(str(tmp_path))
