@@ -39,7 +39,7 @@ def main():
     cropped = raster.crop(page, raster.bounding_box(page))
     thin = raster.thin_to_convergence(cropped)
     show("thinned back to one pixel wide", thin)
-    print("one pixel wide?", raster.is_one_pixel_wide(thin))
+    print("one pixel wide?", not (thin[:-1, :-1] & thin[1:, :-1] & thin[:-1, 1:] & thin[1:, 1:]).any())
 
     pruned = raster.prune(thin, max_spur=3)
     print("prune removed %d spur pixel(s)" % int(thin.sum() - pruned.sum()))

@@ -8,7 +8,8 @@ prints the 32-value count vector plus its scaled network input form.
 
 import numpy as np
 
-from devoc import features, pipeline, synth
+from devoc import features, pipeline, raster, synth
+from devoc.config import Config
 
 
 def main():
@@ -16,10 +17,15 @@ def main():
     img = synth.render(tpl, synth.JitterSpec(amplitude=1, seed=3))
     skel = pipeline.preprocess_glyph(img)
 
-    points = features.find_feature_points(skel)
+    # the rule extract_features counts by: one 8-neighbor is an open end,
+    # three or more an intersection
+    counts = raster.neighbor_count_grid(skel)
+    points = [(r, c, "open_end") for r, c in np.argwhere(skel & (counts == 1))]
+    points += [(r, c, "intersection") for r, c in np.argwhere(skel & (counts >= 3))]
     print("feature points on %r:" % tpl.id)
-    for p in sorted(points, key=lambda p: p.position):
-        print("  %-13s at %-9s tile %2d" % (p.kind.value, p.position, features.tile_of(*p.position)))
+    for r, c, kind in sorted(points):
+        tile = (r // features.TILE) * features.GRID + c // features.TILE
+        print("  %-13s at %-9s tile %2d" % (kind, (int(r), int(c)), tile))
 
     vec = features.extract_features(skel)
     print()
@@ -31,7 +37,7 @@ def main():
             row.append("(%d,%d)" % (vec[2 * t], vec[2 * t + 1]))
         print("  " + "  ".join("%-7s" % v for v in row))
 
-    scaled = features.scale_features(vec)
+    scaled = features.scale_features(vec, Config().feature_cap)
     print()
     print("scaled input (counts / 5, clamped to [0,1]):")
     print(np.array2string(scaled, precision=2, max_line_width=100))

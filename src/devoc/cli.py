@@ -78,9 +78,7 @@ def _cmd_inspect(args, cfg, say):
         "spine: %s col=%s matra=%s" % (analysis.spine.kind.value, analysis.spine.spine_col, analysis.spine.matra_col),
         "features: %s" % " ".join(str(int(v)) for v in analysis.raw_features),
     ]
-    raster.atomic_write_bytes(
-        os.path.join(args.outdir, stem + ".summary.txt"), ("\n".join(lines) + "\n").encode("utf-8")
-    )
+    raster.write_utf8(os.path.join(args.outdir, stem + ".summary.txt"), "\n".join(lines) + "\n")
     say("wrote %s artifacts to %s" % (stem, args.outdir))
 
 
@@ -110,12 +108,8 @@ def _cmd_eval(args, cfg, say):
     samples = pipeline.load_corpus(args.corpus)
     report = pipeline.evaluate(samples, pipeline.load_modelset(args.modeldir), cfg)
     print(pipeline.render_report(report))
-    raster.atomic_write_bytes(
-        os.path.join(args.modeldir, "report.csv"), pipeline.report_csv(report).encode("utf-8")
-    )
-    raster.atomic_write_bytes(
-        os.path.join(args.modeldir, "predictions.csv"), pipeline.predictions_csv(report).encode("utf-8")
-    )
+    raster.write_utf8(os.path.join(args.modeldir, "report.csv"), pipeline.report_csv(report))
+    raster.write_utf8(os.path.join(args.modeldir, "predictions.csv"), pipeline.predictions_csv(report))
     say("report.csv and predictions.csv written to %s" % args.modeldir)
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .raster import atomic_write_bytes, read_utf8
+from .raster import read_utf8, write_utf8
 
 MODEL_MAGIC = "DEVOC-MLP"
 MODEL_VERSION = 1
@@ -73,10 +73,6 @@ class Mlp:
     @property
     def n_out(self):
         return self.w2.shape[0]
-
-    @property
-    def n_params(self):
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size
 
 
 @dataclass
@@ -352,7 +348,12 @@ def train(net, x, y, cfg):
 
 def save_model(path, net, labels):
     """Line-oriented text model file; 17 significant digits round-trip
-    float64 parameters exactly."""
+    float64 parameters exactly. The labels share one ','-joined line: a label
+    holding a comma or a line break raises ValueError before any write."""
+    for label in labels:
+        # load_model splits the file with str.splitlines, which breaks on more than CR and LF
+        if "," in label or label.splitlines() not in ([], [label]):
+            raise ValueError("label %r holds a comma or a line break" % label)
     lines = [
         "%s v%d" % (MODEL_MAGIC, MODEL_VERSION),
         "dims %d %d %d" % (net.n_in, net.n_hidden, net.n_out),
@@ -361,7 +362,7 @@ def save_model(path, net, labels):
     ]
     for v in flatten_params(net):
         lines.append(format(v, ".17g"))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_utf8(path, "\n".join(lines) + "\n")
 
 
 def load_model(path):

@@ -72,7 +72,7 @@ def analyze_glyph(img, cfg=None):
     skel = preprocess_glyph(img, cfg)
     shiro = structural.detect_shirorekha(skel, cfg)
     spine = structural.detect_spines(skel, shiro, cfg)
-    group = structural.classify_group(shiro, spine)
+    group = structural.StructuralClass(shiro.kind, spine.kind)
     body = skel
     if spine.matra_col is not None:
         body = skel.copy()
@@ -123,14 +123,7 @@ def load_corpus(root):
 def corpus_from_samples(samples):
     """Adapt in-memory synth samples to the corpus sample shape."""
     return [
-        CorpusSample(
-            "%s/%s/%04d.pbm" % (s.group, s.class_label, s.index),
-            s.image,
-            s.class_label,
-            s.group,
-            s.split,
-        )
-        for s in samples
+        CorpusSample(s.path, s.image, s.class_label, s.group, s.split) for s in samples
     ]
 
 
@@ -322,9 +315,7 @@ def save_modelset(dirpath, modelset):
         fname = "%s.mlp" % key
         nn.save_model(os.path.join(dirpath, fname), net, labels)
         lines.append("%s %s" % (key, fname))
-    raster.atomic_write_bytes(
-        os.path.join(dirpath, MODELSET_NAME), ("\n".join(lines) + "\n").encode("utf-8")
-    )
+    raster.write_utf8(os.path.join(dirpath, MODELSET_NAME), "\n".join(lines) + "\n")
 
 
 def load_modelset(dirpath):

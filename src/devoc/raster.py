@@ -53,14 +53,6 @@ class BoundingBox:
     col_min: int
     col_max: int
 
-    @property
-    def height(self):
-        return self.row_max - self.row_min + 1
-
-    @property
-    def width(self):
-        return self.col_max - self.col_min + 1
-
 
 # ---------------------------------------------------------------------------
 # Netpbm I/O
@@ -219,6 +211,11 @@ def atomic_write_bytes(path, data):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_utf8(path, text):
+    """Write text to path as UTF-8, atomically."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def read_utf8(path, error):
@@ -451,7 +448,7 @@ def _walk_spur(buf, start, ring, max_spur):
     return None
 
 
-def prune(img, max_spur=3):
+def prune(img, max_spur):
     """Delete junction-anchored spurs of length <= max_spur, repeatedly.
     Branches with no junction anchor (isolated strokes) are kept."""
     grid, ring = _bordered(img)
@@ -489,9 +486,9 @@ def _axis_scale(img, axis, target):
     return np.maximum.reduceat(img.astype(np.uint8), starts, axis=axis).astype(bool)
 
 
-def normalize(img, size=NORM_SIZE):
-    """Crop to the bounding box, scale to size x size (forward block mapping,
-    the nearest-neighbor inverse map), then re-thin to one-pixel width.
+def normalize(img):
+    """Crop to the bounding box, scale to NORM_SIZE square (forward block
+    mapping, the nearest-neighbor inverse map), then re-thin to one-pixel width.
 
     Thinning erodes blunt stroke ends, which at large upscales can pull the
     skeleton more than a pixel off the frame edges; a couple of crop/rescale
@@ -499,22 +496,15 @@ def normalize(img, size=NORM_SIZE):
     box = bounding_box(img)  # raises EmptyImageError on blank input
     glyph = crop(img, box)
     for _ in range(3):
-        scaled = _axis_scale(_axis_scale(glyph, 0, size), 1, size)
+        scaled = _axis_scale(_axis_scale(glyph, 0, NORM_SIZE), 1, NORM_SIZE)
         skel = thin_to_convergence(scaled)
         box = bounding_box(skel)
         if (
             box.row_min <= 1
             and box.col_min <= 1
-            and box.row_max >= size - 2
-            and box.col_max >= size - 2
+            and box.row_max >= NORM_SIZE - 2
+            and box.col_max >= NORM_SIZE - 2
         ):
             break
         glyph = crop(skel, box)
     return skel
-
-
-def is_one_pixel_wide(img):
-    """True when no 2x2 block is entirely foreground."""
-    if img.shape[0] < 2 or img.shape[1] < 2:
-        return True
-    return not (img[:-1, :-1] & img[1:, :-1] & img[:-1, 1:] & img[1:, 1:]).any()

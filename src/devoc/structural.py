@@ -113,18 +113,11 @@ def parse_group_name(name):
         raise ValueError("bad group name %r" % name)
 
 
-ALL_GROUPS = tuple(
-    StructuralClass(ShirorekhaKind(s), SpineKind(p))
-    for s in ("full", "partial")
-    for p in ("end", "mid", "none")
-) + (StructuralClass(ShirorekhaKind.NONE, SpineKind.NONE),)
-
-
 # ---------------------------------------------------------------------------
 # Tracing
 
 
-def trace_from_rightmost(skel, max_consecutive_up=2):
+def trace_from_rightmost(skel, max_consecutive_up):
     """Trace from the rightmost (topmost on ties) foreground pixel, always
     taking the highest-priority unvisited neighbor among W, NW, SW, N.
     At most max_consecutive_up N-moves in a row (climb small bumps only)."""
@@ -326,8 +319,7 @@ def detect_spines(skel, shirorekha, cfg=None):
     near-straight vertical of at least 3/4 of the glyph height, and of two
     qualifying strokes the rightmost is the matra."""
     cfg = cfg or StructuralConfig()
-    rr, _ = np.nonzero(skel)
-    if rr.size == 0:
+    if not skel.any():
         raise EmptyImageError("cannot detect spines on an empty skeleton")
     if shirorekha.kind == ShirorekhaKind.NONE:
         return SpineResult(SpineKind.NONE)
@@ -359,9 +351,3 @@ def _spine_location(skel, shirorekha, spine_col, spine_path, matra_path, cfg):
             mask[r, max(c - 1, 0) : min(c + 2, w)] = False
     mass = int(mask[:, spine_col + 1 :].sum())
     return SpineKind.END if mass < cfg.mid_mass_tol else SpineKind.MID
-
-
-def classify_group(shirorekha, spine):
-    """Combine the two detectors into the routing class (guards the
-    spine-needs-shirorekha rule, which detect_spines already enforces)."""
-    return StructuralClass(shirorekha.kind, spine.kind)

@@ -45,6 +45,11 @@ class Sample:
     template_id: str
     index: int
 
+    @property
+    def path(self):
+        """Corpus-relative file path: <group>/<class_label>/<index:04d>.pbm."""
+        return "%s/%s/%04d.pbm" % (self.group, self.class_label, self.index)
+
 
 def mix_seed(*parts):
     """Stable cross-run seed derivation (Python's hash() is salted)."""
@@ -216,21 +221,31 @@ def generate_corpus(templates, per_class, amplitude=0, seed=0):
     return samples
 
 
+# every CSV devoc writes joins its fields unquoted, so no field may hold these
+_CSV_UNSAFE = ',"\r\n'
+
+
+def _check_csv_fields(fields, where):
+    for f in fields:
+        if any(ch in f for ch in _CSV_UNSAFE):
+            raise ValueError("%s: field %r holds a comma, quote, CR or LF" % (where, f))
+
+
 def write_corpus(samples, root):
-    """Layout: <root>/<group>/<class_label>/<index>.pbm + manifest.csv with
-    columns path,class_label,group,split."""
+    """Layout: <root>/<Sample.path> + manifest.csv with columns
+    path,class_label,group,split. A field the manifest cannot hold raises
+    ValueError before anything is written."""
+    manifest = os.path.join(root, MANIFEST_NAME)
+    rows = [(s.path, s.class_label, s.group, s.split) for s in samples]
+    for row in rows:
+        _check_csv_fields(row, manifest)
     os.makedirs(root, exist_ok=True)
-    rows = []
     for s in samples:
-        rel = os.path.join(s.group, s.class_label, "%04d.pbm" % s.index)
-        full = os.path.join(root, rel)
+        full = os.path.join(root, s.path)
         os.makedirs(os.path.dirname(full), exist_ok=True)
         raster.save_pbm(full, s.image)
-        rows.append((rel, s.class_label, s.group, s.split))
-    manifest = os.path.join(root, MANIFEST_NAME)
-    lines = ["path,class_label,group,split"]
-    lines += [",".join(row) for row in rows]
-    raster.atomic_write_bytes(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
+    lines = ["path,class_label,group,split"] + [",".join(row) for row in rows]
+    raster.write_utf8(manifest, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -243,8 +258,8 @@ class CorpusEntry:
 
 def read_manifest(root):
     """Rows of <root>/manifest.csv. Raises ValueError naming the file when it
-    is not UTF-8, and its line too for malformed CSV, a row with an empty or
-    missing field, or a split other than train/test."""
+    is not UTF-8, and its line too for malformed CSV, an empty or missing
+    field, one write_corpus would refuse, or a split other than train/test."""
     manifest = os.path.join(root, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise FileNotFoundError("no %s in %s" % (MANIFEST_NAME, root))
@@ -258,6 +273,7 @@ def read_manifest(root):
             where = "%s:%d" % (manifest, reader.line_num)
             if not all(row[f] for f in fields):
                 raise ValueError("%s: empty or missing field" % where)
+            _check_csv_fields((row[f] for f in fields), where)
             if row["split"] not in ("train", "test"):
                 raise ValueError("%s: split %r is not train or test" % (where, row["split"]))
             entries.append(CorpusEntry(*(row[f] for f in fields)))

@@ -198,6 +198,14 @@ class TestTrainCommand:
         assert code == cli.EXIT_DATA
 
 
+    def test_quoted_label_with_comma_is_io_error(self, workspace, tmp_path, capsys):
+        # csv would read it, but the labels line of a model file could not hold it
+        corpus = edited_corpus(workspace[0], tmp_path, lambda t: t.replace(",cha,", ',"a,b",'))
+        models = tmp_path / "m"
+        assert cli.main(["--quiet", "train", corpus, str(models)]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("error: %s:2: " % os.path.join(corpus, "manifest.csv"))
+        assert not models.exists()
+
     def test_blank_corpus_glyph_is_empty_error(self, tmp_path, capsys):
         corpus = str(tmp_path / "corpus")
         assert cli.main(["--quiet", "synth", corpus, "--per-class", "2", "--amplitude", "0"]) == 0

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devoc import features
-from devoc.features import N_FEATURES, PointKind, WrongDimensionsError
-from devoc.raster import OutOfBoundsError
+from devoc.features import N_FEATURES, WrongDimensionsError
 
 from conftest import brute_neighbor_count, random_skeleton
 
@@ -32,23 +31,30 @@ def naive_feature_oracle(skel):
     return vec
 
 
+def end_tiles(r, c):
+    """Tiles of the two open ends of a diagonal two-pixel stroke from (r, c)
+    one step toward the middle of (r, c)'s own tile, as extract_features
+    counts them."""
+    img = blank()
+    img[r, c] = True
+    img[r + (1 if r % 25 < 12 else -1), c + (1 if c % 25 < 12 else -1)] = True
+    vec = features.extract_features(img)
+    assert not vec[0::2].any()
+    return np.repeat(np.arange(16), vec[1::2]).tolist()
+
+
 class TestTileOf:
     def test_corners(self):
-        assert features.tile_of(0, 0) == 0
-        assert features.tile_of(0, 99) == 3
-        assert features.tile_of(99, 0) == 12
-        assert features.tile_of(99, 99) == 15
+        assert end_tiles(0, 0) == [0, 0]
+        assert end_tiles(0, 99) == [3, 3]
+        assert end_tiles(99, 0) == [12, 12]
+        assert end_tiles(99, 99) == [15, 15]
 
     def test_boundaries(self):
-        assert features.tile_of(24, 24) == 0
-        assert features.tile_of(25, 24) == 4
-        assert features.tile_of(24, 25) == 1
-        assert features.tile_of(50, 75) == 11
-
-    def test_out_of_bounds(self):
-        for r, c in ((-1, 0), (0, -1), (100, 0), (0, 100)):
-            with pytest.raises(OutOfBoundsError):
-                features.tile_of(r, c)
+        assert end_tiles(24, 24) == [0, 0]
+        assert end_tiles(25, 24) == [4, 4]
+        assert end_tiles(24, 25) == [1, 1]
+        assert end_tiles(50, 75) == [11, 11]
 
 
 class TestFeaturePoints:
@@ -56,25 +62,25 @@ class TestFeaturePoints:
         img = blank()
         img[12, 2:23] = True
         img[2:23, 12] = True
-        points = features.find_feature_points(img)
-        ends = {p.position for p in points if p.kind == PointKind.OPEN_END}
-        inters = {p.position for p in points if p.kind == PointKind.INTERSECTION}
+        vec = features.extract_features(img)
         # the four pixels flanking the center also see >=3 neighbors
-        # (diagonal contact with the perpendicular arm)
-        assert inters == {(12, 12), (11, 12), (13, 12), (12, 11), (12, 13)}
-        assert ends == {(12, 2), (12, 22), (2, 12), (22, 12)}
+        # (diagonal contact with the perpendicular arm): 5 intersections,
+        # plus the 4 arm tips as open ends, all in tile 0
+        assert vec[0] == 5 and vec[1] == 4
+        assert vec[2:].sum() == 0
 
     def test_straight_line_has_only_two_ends(self):
         img = blank()
         img[12, :] = True
-        points = features.find_feature_points(img)
-        assert {p.kind for p in points} == {PointKind.OPEN_END}
-        assert {p.position for p in points} == {(12, 0), (12, 99)}
+        vec = features.extract_features(img)
+        assert vec[0::2].sum() == 0
+        assert vec[1] == 1 and vec[2 * 3 + 1] == 1  # ends (12,0) and (12,99)
+        assert vec.sum() == 2
 
     def test_isolated_pixel_emits_nothing(self):
         img = blank()
         img[50, 50] = True
-        assert features.find_feature_points(img) == []
+        assert not features.extract_features(img).any()
 
     def test_counts_use_full_image_not_tiles(self):
         # a line crossing a tile boundary: the pixels at columns 24/25 have
@@ -114,10 +120,7 @@ class TestExtract:
     @given(st.integers(0, 2**32 - 1))
     def test_matches_feature_point_counts(self, seed):
         skel = random_skeleton(np.random.default_rng(seed))
-        vec = [0] * N_FEATURES
-        for pt in features.find_feature_points(skel):
-            vec[2 * features.tile_of(*pt.position) + (pt.kind == PointKind.OPEN_END)] += 1
-        assert features.extract_features(skel).tolist() == vec
+        assert features.extract_features(skel).tolist() == naive_feature_oracle(skel)
 
     def test_tile_counts_partition_image_totals(self):
         rng = np.random.default_rng(202)
@@ -139,5 +142,5 @@ class TestScale:
     def test_range_always_unit_interval(self):
         rng = np.random.default_rng(3)
         vec = rng.integers(0, 30, size=N_FEATURES)
-        out = features.scale_features(vec)
+        out = features.scale_features(vec, cap=5.0)
         assert out.min() >= 0.0 and out.max() <= 1.0

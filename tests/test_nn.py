@@ -58,7 +58,7 @@ class TestInit:
     def test_shapes(self):
         net = nn.init_mlp(40, 5, seed=0)
         assert net.n_in == 32 and net.n_hidden == 40 and net.n_out == 5
-        assert net.n_params == 40 * 32 + 40 + 5 * 40 + 5
+        assert nn.flatten_params(net).size == 40 * 32 + 40 + 5 * 40 + 5
 
     def test_bad_dimensions(self):
         with pytest.raises(BadDimensionsError):
@@ -284,6 +284,13 @@ class TestModelFile:
         nn.save_model(path, net, ["x", "y"])
         back, _ = nn.load_model(path)
         assert np.array_equal(net.w1, back.w1)
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\u2028b", "a\x85"])
+    def test_label_that_breaks_the_labels_line_is_refused(self, tmp_path, label):
+        path = tmp_path / "m.mlp"
+        with pytest.raises(ValueError, match="holds a comma or a line break"):
+            nn.save_model(str(path), nn.init_mlp(4, 2, seed=0), [label, "y"])
+        assert not path.exists()
 
     def test_truncated_file(self, tmp_path):
         net = nn.init_mlp(4, 2, seed=0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -15,6 +16,8 @@ from devoc.pipeline import (
     InsufficientDataError,
     MalformedModelSetError,
 )
+
+from conftest import has_full_2x2_block
 
 
 def tiny_corpus(templates, per_class=10, amplitude=0, seed=0):
@@ -35,7 +38,7 @@ class TestPreprocess:
         img = synth.render(templates[0], synth.JitterSpec(2, 3))
         out = pipeline.preprocess_glyph(img)
         assert out.shape == (100, 100)
-        assert raster.is_one_pixel_wide(out)
+        assert not has_full_2x2_block(out)
         assert out.any()
 
     def test_empty_raises(self):
@@ -84,6 +87,22 @@ class TestAnalyze:
         except raster.EmptyImageError:
             return
         assert analysis.skeleton.shape == (100, 100)
+
+
+    def test_stage_one_fingerprint(self, templates):
+        # Skeleton, detected group and raw features of every glyph of a small
+        # corpus, at 1 px and at a thick pen (2x replication plus one 3x3
+        # dilation). All integer, so the hash does not depend on the BLAS. A
+        # change that means to alter stage one updates the constant and says why.
+        digest = hashlib.sha256()
+        for s in synth.generate_corpus(templates, 10, 2, 0):
+            thick = raster.thicken(np.repeat(np.repeat(s.image, 2, axis=0), 2, axis=1))
+            for img in (s.image, thick):
+                a = pipeline.analyze_glyph(img)
+                digest.update(np.packbits(a.skeleton).tobytes())
+                digest.update(structural.group_name(a.group).encode())
+                digest.update(a.raw_features.astype("<i8").tobytes())
+        assert digest.hexdigest() == "dbecaf8abc13253cc1849e9550835ff4161062d227a849d24026e87888156304"
 
 
 class TestRecognize:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from devoc import structural
 from devoc.raster import EmptyImageError
 from devoc.structural import (
-    ALL_GROUPS,
     InconsistentInputsError,
     ShirorekhaKind,
     ShirorekhaResult,
@@ -35,7 +34,7 @@ MID_SPINE = (slice(2, 100), 55)
 class TestTrace:
     def test_straight_line_walks_fully(self):
         img = canvas((5, slice(10, 91)))
-        trace = structural.trace_from_rightmost(img)
+        trace = structural.trace_from_rightmost(img, max_consecutive_up=2)
         assert len(trace.points) == 81
         assert trace.points[0] == (5, 90)
         assert trace.points[-1] == (5, 10)
@@ -43,19 +42,19 @@ class TestTrace:
 
     def test_single_pixel_is_no_move(self):
         img = canvas((40, 40))
-        trace = structural.trace_from_rightmost(img)
+        trace = structural.trace_from_rightmost(img, max_consecutive_up=2)
         assert trace.points == ((40, 40),)
         assert trace.termination == Termination.NO_MOVE
 
     def test_empty_raises(self):
         with pytest.raises(EmptyImageError):
-            structural.trace_from_rightmost(np.zeros((10, 10), dtype=bool))
+            structural.trace_from_rightmost(np.zeros((10, 10), dtype=bool), max_consecutive_up=2)
 
     def test_antidiagonal_descends_by_sw(self):
         img = np.zeros((100, 100), dtype=bool)
         for i in range(100):
             img[i, 99 - i] = True
-        trace = structural.trace_from_rightmost(img)
+        trace = structural.trace_from_rightmost(img, max_consecutive_up=2)
         assert len(trace.points) == 100
         assert trace.termination == Termination.OPEN_END
         # strictly one column left per step
@@ -69,12 +68,12 @@ class TestTrace:
             (slice(10, 21), 10),
             (slice(10, 21), 20),
         )
-        trace = structural.trace_from_rightmost(img)
+        trace = structural.trace_from_rightmost(img, max_consecutive_up=2)
         assert trace.termination == Termination.LOOP
 
     def test_start_is_topmost_of_rightmost_column(self):
         img = canvas((slice(30, 50), 80))
-        trace = structural.trace_from_rightmost(img)
+        trace = structural.trace_from_rightmost(img, max_consecutive_up=2)
         assert trace.points[0] == (30, 80)
 
     def test_consecutive_up_limit(self):
@@ -275,8 +274,10 @@ class TestSpines:
 
 class TestGrouping:
     def test_all_seven_groups_round_trip(self):
-        assert len(ALL_GROUPS) == 7
-        for sc in ALL_GROUPS:
+        groups = {StructuralClass(ShirorekhaKind.NONE, SpineKind.NONE)}
+        groups.update(StructuralClass(s, p) for s in (ShirorekhaKind.FULL, ShirorekhaKind.PARTIAL) for p in SpineKind)
+        assert len(groups) == 7
+        for sc in groups:
             assert structural.parse_group_name(structural.group_name(sc)) == sc
 
     def test_inconsistent_class_rejected(self):
@@ -288,11 +289,11 @@ class TestGrouping:
             with pytest.raises(ValueError):
                 structural.parse_group_name(name)
 
-    def test_classify_group_combines_detectors(self):
+    def test_detectors_combine_into_group(self):
         img = canvas(FULL_HEADLINE, MID_SPINE, (60, slice(60, 91)))
         shiro = structural.detect_shirorekha(img)
         spine = structural.detect_spines(img, shiro)
-        sc = structural.classify_group(shiro, spine)
+        sc = StructuralClass(shiro.kind, spine.kind)
         assert structural.group_name(sc) == "full_mid"
 
 

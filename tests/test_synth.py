@@ -1,3 +1,4 @@
+import dataclasses
 import zlib
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from devoc import raster, structural, synth
 from devoc.synth import JitterSpec, _bresenham, mix_seed
+
+from conftest import has_full_2x2_block
 
 
 class TestMixSeed:
@@ -86,7 +89,7 @@ class TestRender:
         img = synth.render(templates[3], JitterSpec(3, 5))
         assert img.shape == (100, 100)
         assert img.any()
-        assert raster.is_one_pixel_wide(img)
+        assert not has_full_2x2_block(img)
 
     def test_zero_jitter_templates_hit_their_groups(self, templates):
         from devoc import pipeline
@@ -137,6 +140,14 @@ class TestCorpus:
             img = raster.load_image(str(tmp_path / "corpus" / e.path))
             assert np.array_equal(img, s.image)
 
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_write_corpus_refuses_a_field_the_manifest_cannot_hold(self, templates, tmp_path, label):
+        tpl = dataclasses.replace(templates[0], class_label=label)
+        root = tmp_path / "corpus"
+        with pytest.raises(ValueError, match="holds a comma, quote, CR or LF"):
+            synth.write_corpus(synth.generate_corpus([tpl] + list(templates[1:3]), 2), str(root))
+        assert not root.exists()
+
     def test_read_manifest_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             synth.read_manifest(str(tmp_path))
@@ -153,8 +164,10 @@ class TestCorpus:
             ("b.pbm,,full_end,test", "empty or missing field"),
             ("b.pbm,cha,full_end,bogus", "split 'bogus' is not train or test"),
             ("x" * (128 * 1024 + 1) + ",cha,full_end,train", "field larger than field limit"),
+            ('b.pbm,"a,b",full_end,test', "field 'a,b' holds a comma, quote, CR or LF"),
+            ('b.pbm,a"b,full_end,test', "field 'a\"b' holds a comma, quote, CR or LF"),
         ],
-        ids=["missing-field", "empty-field", "bad-split", "field-over-128k"],
+        ids=["missing-field", "empty-field", "bad-split", "field-over-128k", "quoted-comma", "quote"],
     )
     def test_read_manifest_bad_row_names_its_line(self, tmp_path, row, message):
         (tmp_path / "manifest.csv").write_text("path,class_label,group,split\na.pbm,cha,full_end,train\n%s\n" % row)
