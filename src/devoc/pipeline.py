@@ -307,7 +307,10 @@ def predictions_csv(report):
 
 
 def save_modelset(dirpath, modelset):
-    """One model file per group, <group>.mlp, plus a modelset.txt manifest."""
+    """One model file per group, <group>.mlp, plus a modelset.txt manifest.
+    Every label is checked before the first write."""
+    for _, labels in modelset.models.values():
+        nn.check_labels(labels)
     os.makedirs(dirpath, exist_ok=True)
     lines = [MODELSET_MAGIC]
     for key in sorted(modelset.models):

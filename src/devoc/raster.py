@@ -11,6 +11,7 @@ skeleton: bounding-box crop -> thicken -> thin -> prune -> normalize
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -39,10 +40,6 @@ class EmptyImageError(RasterError):
 
 
 class BoxOutOfRangeError(RasterError):
-    pass
-
-
-class OutOfBoundsError(RasterError):
     pass
 
 
@@ -147,6 +144,9 @@ def _parse_pbm(buf):
     return bits[:, :width].astype(bool)
 
 
+_TAB_CR_TO_SPACE = bytes.maketrans(b"\t\r", b"  ")
+
+
 def _parse_pgm(buf):
     """Parse a P2/P5 PGM buffer and binarize: darker half of the range -> foreground."""
     rd = _TokenReader(buf)
@@ -161,21 +161,25 @@ def _parse_pgm(buf):
         raise MalformedHeaderError("bad maxval %d" % maxval)
     n = width * height
     if magic == b"P2":
-        vals = []
-        for _ in range(n):
-            try:
-                vals.append(rd.next_int())
-            except MalformedHeaderError:
-                raise DimensionMismatchError("P2 raster truncated")
-        grid = np.array(vals).reshape(height, width)
-    else:
-        rd.skip_single_whitespace()
-        itemsize = 1 if maxval < 256 else 2
-        raster = buf[rd.pos : rd.pos + n * itemsize]
-        if len(raster) != n * itemsize:
-            raise DimensionMismatchError("P5 raster truncated")
-        dtype = np.uint8 if itemsize == 1 else ">u2"
-        grid = np.frombuffer(raster, dtype=dtype).reshape(height, width).astype(int)
+        # the tokens _TokenReader reads ('#' comments run to the end of their
+        # line; only space, tab, CR and LF separate), split one line at a time
+        lines = buf[rd.pos :].split(b"\n")
+        words = (ln.split(b"#", 1)[0].translate(_TAB_CR_TO_SPACE).split(b" ") for ln in lines)
+        values = map(int, itertools.islice(filter(None, itertools.chain.from_iterable(words)), n))
+        try:
+            at_most = np.fromiter(map((maxval / 2).__ge__, values), dtype=bool)  # v <= maxval / 2
+        except ValueError:  # a token int() refuses
+            raise DimensionMismatchError("P2 raster truncated")
+        if at_most.size < n:
+            raise DimensionMismatchError("P2 raster truncated")
+        return at_most.reshape(height, width)
+    rd.skip_single_whitespace()
+    itemsize = 1 if maxval < 256 else 2
+    raster = buf[rd.pos : rd.pos + n * itemsize]
+    if len(raster) != n * itemsize:
+        raise DimensionMismatchError("P5 raster truncated")
+    dtype = np.uint8 if itemsize == 1 else ">u2"
+    grid = np.frombuffer(raster, dtype=dtype).reshape(height, width).astype(int)
     return grid <= maxval / 2
 
 
@@ -254,20 +258,9 @@ _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
 def _zs_ring(img):
     """The 8 neighbor planes of img in _RING order, zero beyond the border."""
-    p = np.pad(img, 1)
+    p = _bordered(img)[0]
     h, w = img.shape
     return tuple(p[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w] for dr, dc in _RING)
-
-
-def neighbor_count(img, row, col):
-    """Foreground pixels among the 8-neighborhood; off-image counts as background."""
-    h, w = img.shape
-    if not (0 <= row < h and 0 <= col < w):
-        raise OutOfBoundsError("(%d,%d) outside %dx%d" % (row, col, h, w))
-    r0, r1 = max(row - 1, 0), min(row + 2, h)
-    c0, c1 = max(col - 1, 0), min(col + 2, w)
-    total = int(img[r0:r1, c0:c1].sum())
-    return total - int(img[row, col])
 
 
 def neighbor_count_grid(img):
@@ -307,12 +300,12 @@ def _spare_doomed(skel, dele):
 
 
 def _bordered(img):
-    """img as a uint8 grid with a one-pixel zero border, plus the flat
+    """img as a bool grid with a one-pixel zero border, plus the flat
     offsets of the _RING neighbors in that grid. Every 3x3 rule below reads
     a pixel's neighbors through these offsets, so none needs a bounds check."""
     img = np.asarray(img, dtype=bool)
     h, w = img.shape
-    grid = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    grid = np.zeros((h + 2, w + 2), dtype=bool)
     grid[1:-1, 1:-1] = img
     return grid, np.array([dr * (w + 2) + dc for dr, dc in _RING])
 
@@ -350,23 +343,23 @@ _ZS_TABLES, _PEEL = _ring_tables()
 
 def _zs_delete(grid, cand, ring, table):
     """One parallel Zhang-Suen subiteration over the candidate pixels (flat
-    indices into the zero-bordered uint8 grid, all foreground). Deletes the
+    indices into the zero-bordered bool grid, all foreground). Deletes the
     deletable ones, sparing one pixel of any component that would vanish,
     and returns the flat indices deleted."""
     buf = grid.reshape(-1)
     dele = cand[table[_codes(buf, cand, ring)]]
     if dele.size == 0:
         return dele
-    buf[dele] = 0
+    buf[dele] = False
     if not buf[dele[:, None] + ring].any(axis=1).all():
         # a deleted pixel kept no 8-neighbor, so its whole component may be
         # gone: redo the deletion with the component check
-        buf[dele] = 1
+        buf[dele] = True
         mask = np.zeros(grid.shape, dtype=bool)
         mask.reshape(-1)[dele] = True
-        _spare_doomed(grid[1:-1, 1:-1].view(bool), mask[1:-1, 1:-1])
+        _spare_doomed(grid[1:-1, 1:-1], mask[1:-1, 1:-1])
         dele = np.flatnonzero(mask)
-        buf[dele] = 0
+        buf[dele] = False
     return dele
 
 
@@ -394,7 +387,7 @@ def _peel_square_blocks(grid, ring):
         changed = False
         for i in np.unique(tops[:, None] + corner):
             if buf[i] and _PEEL[_codes(buf, i, ring)]:
-                buf[i] = 0
+                buf[i] = False
                 changed = True
         if not changed:
             return
@@ -419,14 +412,14 @@ def thin_to_convergence(img):
                 cand = np.flatnonzero(buf)  # the first pass tests every pixel
             else:
                 cand = _distinct(np.concatenate(touched), stamp)
-                cand = cand[buf[cand] != 0]
+                cand = cand[buf[cand]]
             gone = _zs_delete(grid, cand, ring, _ZS_TABLES[step])
             touched = [touched[1], (gone[:, None] + ring).ravel()]
             changed = changed or gone.size > 0
         if not changed:
             break
     _peel_square_blocks(grid, ring)
-    return grid[1:-1, 1:-1].astype(bool)
+    return grid[1:-1, 1:-1].copy()
 
 
 def _walk_spur(buf, start, ring, max_spur):
@@ -450,21 +443,29 @@ def _walk_spur(buf, start, ring, max_spur):
 
 def prune(img, max_spur):
     """Delete junction-anchored spurs of length <= max_spur, repeatedly.
-    Branches with no junction anchor (isolated strokes) are kept."""
+    Branches with no junction anchor (isolated strokes) are kept. A spur
+    ends on a pixel with three or more neighbors, which it had at the start
+    of the round (deletions only lower counts), fewer than max_spur rows and
+    columns from the endpoint: endpoints with none that close are not walked."""
     grid, ring = _bordered(img)
     buf = grid.reshape(-1)
+    w = grid.shape[1]
     changed = max_spur > 0
     while changed:
         changed = False
         fg = np.flatnonzero(buf)
+        counts = buf[fg[:, None] + ring].sum(axis=1)
+        ends = fg[counts == 1]
+        (er, ec), (fr, fc) = np.divmod(ends, w), np.divmod(fg[counts >= 3], w)
+        near = (abs(er[:, None] - fr) < max_spur) & (abs(ec[:, None] - fc) < max_spur)
         # a walk deletes only its start among this round's endpoints: every
         # later pixel of a spur has two or more neighbors
-        for i in fg[buf[fg[:, None] + ring].sum(axis=1) == 1]:
+        for i in ends[near.any(axis=1)]:
             spur = _walk_spur(buf, i, ring, max_spur)
             if spur is not None:
-                buf[spur] = 0
+                buf[spur] = False
                 changed = True
-    return grid[1:-1, 1:-1].astype(bool)
+    return grid[1:-1, 1:-1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +476,19 @@ def _axis_scale(img, axis, target):
     src = img.shape[axis]
     if src == target:
         return img
-    idx = np.arange(src)
     if src < target:
         # growing: each source pixel paints its whole destination block
+        idx = np.arange(src)
         reps = ((idx + 1) * target) // src - (idx * target) // src
         return np.repeat(img, reps, axis=axis)
-    # shrinking: max-pool source groups so thin strokes never disappear
-    dest = (idx * target) // src
-    starts = np.searchsorted(dest, np.arange(target))
-    return np.maximum.reduceat(img.astype(np.uint8), starts, axis=axis).astype(bool)
+    # shrinking: max-pool source groups so thin strokes never disappear. A
+    # group holds at most ceil(src/target) pixels: OR its k-th (or last) ones
+    starts = (np.arange(target) * src + target - 1) // target
+    last = np.append(starts[1:], src) - 1
+    out = np.take(img, starts, axis=axis)
+    for k in range(1, -(-src // target)):
+        out |= np.take(img, np.minimum(starts + k, last), axis=axis)
+    return out
 
 
 def normalize(img):

@@ -10,13 +10,15 @@ classifier.
 from __future__ import annotations
 
 import math
+import operator
+import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .raster import EmptyImageError, neighbor_count, thicken
+from .raster import EmptyImageError, _bordered
 
 # candidate moves in priority order: W, NW, SW, N (column never increases)
 PRIORITY_MASK = ((0, -1), (-1, -1), (1, -1), (-1, 0))
@@ -120,39 +122,39 @@ def parse_group_name(name):
 def trace_from_rightmost(skel, max_consecutive_up):
     """Trace from the rightmost (topmost on ties) foreground pixel, always
     taking the highest-priority unvisited neighbor among W, NW, SW, N.
-    At most max_consecutive_up N-moves in a row (climb small bumps only)."""
-    rr, cc = np.nonzero(skel)
-    if rr.size == 0:
+    At most max_consecutive_up N-moves in a row (climb small bumps only).
+    Visited pixels are cleared in a zero-bordered copy of skel."""
+    cols = np.flatnonzero(skel.any(axis=0))
+    if cols.size == 0:
         raise EmptyImageError("cannot trace an empty skeleton")
-    h, w = skel.shape
-    c0 = int(cc.max())
-    r0 = int(rr[cc == c0].min())
-    pos = (r0, c0)
-    points = [pos]
-    seen = {pos}
+    grid = _bordered(skel)[0]
+    stride = grid.shape[1]
+    i = (int(np.argmax(skel[:, cols[-1]])) + 1) * stride + int(cols[-1]) + 1
+    buf = bytearray(grid.tobytes())
+    buf[i] = 0
+    path = [i]
+    moves = [dr * stride + dc for dr, dc in PRIORITY_MASK]
+    north = moves[-1]
     up_run = 0
     while True:
-        moved = False
-        for i, (dr, dc) in enumerate(PRIORITY_MASK):
-            if i == 3 and up_run >= max_consecutive_up:
-                continue
-            r, c = pos[0] + dr, pos[1] + dc
-            if 0 <= r < h and 0 <= c < w and skel[r, c] and (r, c) not in seen:
-                pos = (r, c)
-                points.append(pos)
-                seen.add(pos)
-                up_run = up_run + 1 if (dr, dc) == (-1, 0) else 0
-                moved = True
+        for step in moves:
+            if buf[i + step] and (step != north or up_run < max_consecutive_up):
                 break
-        if not moved:
+        else:
             break
+        up_run = up_run + 1 if step == north else 0
+        i += step
+        buf[i] = 0
+        path.append(i)
+    points = tuple((q - 1, r - 1) for q, r in (divmod(j, stride) for j in path))
+    row, col = divmod(i, stride)
     if len(points) == 1:
         term = Termination.NO_MOVE
-    elif neighbor_count(skel, *points[-1]) == 1:
+    elif grid[row - 1 : row + 2, col - 1 : col + 2].sum() == 2:  # the last point and one neighbor
         term = Termination.OPEN_END
     else:
         term = Termination.LOOP
-    return Trace(tuple(points), term)
+    return Trace(points, term)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +164,13 @@ def trace_from_rightmost(skel, max_consecutive_up):
 def straightness(heights, step_tol, drift_tol):
     """Differential-distance straightness: bounded successive differences
     and bounded total drift of envelope distances."""
-    heights = tuple(int(v) for v in heights)
+    heights = tuple(map(int, heights))
     if not heights:
         raise ValueError("straightness needs a nonempty distance list")
     if len(heights) == 1:
         max_step = 0
     else:
-        max_step = max(abs(b - a) for a, b in zip(heights, heights[1:]))
+        max_step = max(map(abs, map(operator.sub, heights[1:], heights)))
     drift = max(heights) - min(heights)
     ok = max_step <= step_tol and drift <= drift_tol
     return StraightnessReport(heights, max_step, drift, ok)
@@ -249,61 +251,57 @@ def detect_shirorekha(skel, cfg=None):
 # Spines
 
 
-def _walk_down(body, r, c):
-    """Follow a near-vertical stroke downward, preferring straight-down
-    moves and breaking diagonal ties toward the start column."""
-    h, w = body.shape
-    path = [(r, c)]
+def _walk_down(buf, stride, r, c):
+    """Columns, one per row from row r down, of the walk along a
+    near-vertical stroke from (r, c) in buf, the bytes of a zero-bordered
+    grid with rows stride long: straight down when possible, else the one
+    diagonal, breaking a diagonal tie toward the start column."""
+    cols = [c]
+    i = (r + 1) * stride + c + 1
     while True:
-        nr = path[-1][0] + 1
-        if nr >= h:
-            break
-        cc = path[-1][1]
-        step = None
-        if body[nr, cc]:
-            step = (nr, cc)
+        i += stride
+        if buf[i]:
+            pass
+        elif buf[i - 1] and not (buf[i + 1] and cols[-1] < c):
+            i -= 1
+        elif buf[i + 1]:
+            i += 1
         else:
-            cands = [
-                (nr, c2) for c2 in (cc - 1, cc + 1) if 0 <= c2 < w and body[nr, c2]
-            ]
-            if len(cands) == 1:
-                step = cands[0]
-            elif len(cands) == 2:
-                step = min(cands, key=lambda p: abs(p[1] - c))
-        if step is None:
             break
-        path.append(step)
-    return path
+        cols.append(i % stride - 1)
+    return cols
+
+
+def _flat(points, stride):
+    """Flat indices of (row, col) points in a zero-bordered grid with rows stride long."""
+    return np.array([(r + 1) * stride + c + 1 for r, c in points])
 
 
 def _vertical_candidates(skel, trace, cfg):
     """Near-vertical near-straight strokes of at least spine_height_frac of
-    the glyph height, found by walking down from stroke tops after masking
-    out the traced shirorekha."""
+    the glyph height, found by walking down from stroke tops (no body pixel
+    among the three above) after masking out the traced shirorekha. A walk
+    moves down one row per step, so one from a top below row h - min_len
+    is too short and is never started; every later pixel of a walk has a
+    body pixel above it, so no top lies on another walk's path."""
     h, w = skel.shape
-    trace_mask = np.zeros_like(skel)
-    if trace is not None:
-        for r, c in trace.points:
-            trace_mask[r, c] = True
-    body = skel & ~thicken(trace_mask)
     min_len = math.ceil(cfg.spine_height_frac * h)
-    p = np.pad(body, 1)
-    above = p[0:h, 0:w] | p[0:h, 1 : w + 1] | p[0:h, 2 : w + 2]
-    tops = body & ~above
-    on_path = np.zeros_like(body)
+    grid = _bordered(skel)[0]
+    stride = w + 2
+    if trace is not None:
+        block = np.add.outer((-stride, 0, stride), (-1, 0, 1)).ravel()
+        grid.reshape(-1)[_flat(trace.points, stride)[:, None] + block] = False
+    n = min(max(h - min_len + 1, 0), h)
+    tops = grid[1 : n + 1, 1:-1] & ~(grid[:n, :-2] | grid[:n, 1:-1] | grid[:n, 2:])
+    buf = grid.tobytes()
     candidates = []
-    for r, c in np.argwhere(tops):
-        if on_path[r, c]:
+    for r, c in zip(*(a.tolist() for a in np.nonzero(tops))):
+        cols = _walk_down(buf, stride, r, c)
+        if len(cols) < min_len:
             continue
-        path = _walk_down(body, int(r), int(c))
-        for rr, cc in path:
-            on_path[rr, cc] = True
-        if len(path) < min_len:
-            continue
-        cols = [cc for _, cc in path]
-        drift_tol = math.ceil(cfg.drift_tol_frac * len(path))
+        drift_tol = math.ceil(cfg.drift_tol_frac * len(cols))
         if straightness(cols, cfg.step_tol, drift_tol).is_near_straight:
-            candidates.append((int(np.median(cols)), tuple(path)))
+            candidates.append((int(statistics.median(cols)), tuple(zip(range(r, r + len(cols)), cols))))
     # dedupe near-coincident columns, keep the longer stroke
     candidates.sort(key=lambda t: -len(t[1]))
     kept = []
@@ -340,14 +338,12 @@ def detect_spines(skel, shirorekha, cfg=None):
 def _spine_location(skel, shirorekha, spine_col, spine_path, matra_path, cfg):
     """EndSpine when nearly nothing of the character body lies right of the
     spine (headline band and the vertical strokes themselves excluded)."""
-    mask = skel.copy()
     band_bottom = cfg.step_tol
     if shirorekha.trace is not None:
         band_bottom = max(band_bottom, max(r for r, _ in shirorekha.trace.points) + cfg.step_tol)
-    mask[: band_bottom + 1, :] = False
-    h, w = skel.shape
-    for path in (spine_path, matra_path):
-        for r, c in path:
-            mask[r, max(c - 1, 0) : min(c + 2, w)] = False
-    mass = int(mask[:, spine_col + 1 :].sum())
+    grid = _bordered(skel)[0]
+    grid[: band_bottom + 2] = False
+    # each vertical stroke pixel with its left and right neighbors
+    grid.reshape(-1)[_flat(spine_path + matra_path, grid.shape[1])[:, None] + (-1, 0, 1)] = False
+    mass = int(grid[:, spine_col + 2 :].sum())
     return SpineKind.END if mass < cfg.mid_mass_tol else SpineKind.MID

@@ -206,6 +206,15 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: %s:2: " % os.path.join(corpus, "manifest.csv"))
         assert not models.exists()
 
+    def test_label_no_model_file_can_hold_writes_nothing(self, workspace, tmp_path, capsys):
+        # read_manifest accepts a label ending in U+2028, but the labels line
+        # of a model file cannot hold it; bha's group is the last one saved
+        corpus = edited_corpus(workspace[0], tmp_path, lambda t: t.replace(",bha,", ",bha\u2028,"))
+        models = tmp_path / "m"
+        assert cli.main(["--quiet", "train", corpus, str(models)]) == cli.EXIT_IO
+        assert "line break" in capsys.readouterr().err
+        assert not models.exists()
+
     def test_blank_corpus_glyph_is_empty_error(self, tmp_path, capsys):
         corpus = str(tmp_path / "corpus")
         assert cli.main(["--quiet", "synth", corpus, "--per-class", "2", "--amplitude", "0"]) == 0

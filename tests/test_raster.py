@@ -13,10 +13,9 @@ from devoc.raster import (
     DimensionMismatchError,
     EmptyImageError,
     MalformedHeaderError,
-    OutOfBoundsError,
 )
 
-from conftest import brute_neighbor_count, flood_fill_components, has_full_2x2_block, random_blobs
+from conftest import brute_neighbor_count, flood_fill_components, has_full_2x2_block, random_blobs, random_skeleton
 
 
 def write(tmp_path, name, data):
@@ -131,6 +130,54 @@ class TestPgm:
             raster.load_image(write(tmp_path, "a.txt", "hello"))
 
 
+def reference_parse_p2(buf):
+    """The per-token P2 reader: one _TokenReader.next_int() per pixel."""
+    rd = raster._TokenReader(buf)
+    assert rd.next_token() == b"P2"
+    width, height, maxval = rd.next_int(), rd.next_int(), rd.next_int()
+    vals = []
+    for _ in range(width * height):
+        try:
+            vals.append(rd.next_int())
+        except MalformedHeaderError:
+            raise DimensionMismatchError("P2 raster truncated")
+    return np.array(vals).reshape(height, width) <= maxval / 2
+
+
+def _outcome(parse, buf):
+    """The parsed grid as nested lists, or the class of the exception raised."""
+    try:
+        return parse(buf).tolist()
+    except Exception as exc:
+        return type(exc)
+
+
+class TestP2MatchesTokenLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bodies(self, data):
+        w, h = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        maxval = data.draw(st.integers(1, 300))
+        token = st.one_of(
+            st.integers(-3, 400).map(lambda v: b"%d" % v),
+            st.sampled_from([b"+7", b"007", b"1_0", b"0x1", b"x", b"\x0b9", b"9\x0c", b"\x0b", b"1e3", b"9" * 25]),
+        )
+        sep = st.sampled_from([b" ", b"\t", b"\r\n", b"\n", b"  ", b" #c 1\n", b"#\n", b"# 5", b"\x0b", b"\r"])
+        n = data.draw(st.integers(0, w * h + 2))
+        body = b"".join(data.draw(token) + data.draw(sep) for _ in range(n))
+        buf = b"P2\n%d %d\n%d\n" % (w, h, maxval) + body
+        assert _outcome(raster._parse_pgm, buf) == _outcome(reference_parse_p2, buf)
+
+    def test_wrapped_file(self):
+        vals = np.random.default_rng(3).integers(0, 256, size=(37, 41))
+        lines = [" ".join(map(str, row[i : i + 17])) for row in vals for i in range(0, 41, 17)]
+        buf = ("P2\n# made by hand\n41 37\n255\n" + "\n".join(lines) + "\n").encode()
+        out = raster._parse_pgm(buf)
+        assert out.dtype == bool
+        assert np.array_equal(out, reference_parse_p2(buf))
+        assert np.array_equal(out, vals <= 127.5)
+
+
 class TestGeometry:
     def test_bbox_single_pixel(self):
         img = np.zeros((10, 10), dtype=bool)
@@ -164,27 +211,20 @@ class TestGeometry:
     def test_neighbor_count_examples(self):
         img = np.zeros((5, 5), dtype=bool)
         img[2, 2] = True
-        assert raster.neighbor_count(img, 2, 2) == 0
+        assert raster.neighbor_count_grid(img)[2, 2] == 0
         line = np.zeros((3, 9), dtype=bool)
         line[1, :] = True
-        assert raster.neighbor_count(line, 1, 4) == 2
+        assert raster.neighbor_count_grid(line)[1].tolist() == [1, 2, 2, 2, 2, 2, 2, 2, 1]
         cross = np.zeros((5, 5), dtype=bool)
         cross[2, :] = True
         cross[:, 2] = True
-        assert raster.neighbor_count(cross, 2, 2) == 4
-
-    def test_neighbor_count_out_of_bounds(self):
-        with pytest.raises(OutOfBoundsError):
-            raster.neighbor_count(np.zeros((2, 2), dtype=bool), 2, 0)
+        assert raster.neighbor_count_grid(cross)[2, 2] == 4
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_neighbor_count_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         img = rng.random((7, 9)) < 0.5
-        for r in range(7):
-            for c in range(9):
-                assert raster.neighbor_count(img, r, c) == brute_neighbor_count(img, r, c)
         grid = raster.neighbor_count_grid(img)
         for r in range(7):
             for c in range(9):
@@ -415,6 +455,28 @@ def reference_prune(img, max_spur=3):
     return out
 
 
+def reference_axis_scale(img, axis, target):
+    """Resize one axis by the forward block map: a max-pool with
+    np.maximum.reduceat when shrinking, np.repeat when growing."""
+    src = img.shape[axis]
+    if src == target:
+        return img
+    idx = np.arange(src)
+    if src < target:
+        reps = ((idx + 1) * target) // src - (idx * target) // src
+        return np.repeat(img, reps, axis=axis)
+    dest = (idx * target) // src
+    starts = np.searchsorted(dest, np.arange(target))
+    return np.maximum.reduceat(img.astype(np.uint8), starts, axis=axis).astype(bool)
+
+
+def reference_normalize(img):
+    """normalize with the oracle axis scaling."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raster, "_axis_scale", reference_axis_scale)
+        return raster.normalize(img)
+
+
 def assert_matches_reference(img):
     out = raster.thin_to_convergence(img)
     assert out.dtype == bool
@@ -458,6 +520,8 @@ class TestThinMatchesReference:
                 skel = raster.thin_to_convergence(glyph)
                 for max_spur in (1, 3, 6):
                     assert_prune_matches_reference(skel, max_spur)
+                pruned = raster.prune(skel, 3)
+                assert np.array_equal(raster.normalize(pruned), reference_normalize(pruned))
 
     def test_component_check_runs_only_when_a_component_can_vanish(self, monkeypatch):
         calls = []
@@ -520,6 +584,23 @@ class TestPrune:
         img = random_array(h, w, density, seed)
         assert_prune_matches_reference(raster.thin_to_convergence(img) if thinned else img, max_spur)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 6))
+    def test_skeletons_with_many_spurs_match_reference(self, seed, n_spurs, max_spur):
+        # short branches off random pixels, often two or more on one
+        # junction, so that one round's walks see each other's deletions
+        rng = np.random.default_rng(seed)
+        skel = random_skeleton(rng, size=60)
+        fg = np.argwhere(skel)
+        if fg.size == 0:
+            return
+        for r, c in fg[rng.integers(0, len(fg), size=n_spurs)]:
+            dr, dc = rng.integers(-1, 2, size=2)
+            for k in range(1, rng.integers(2, 5)):
+                if 0 <= r + k * dr < 60 and 0 <= c + k * dc < 60:
+                    skel[r + k * dr, c + k * dc] = True
+        assert_prune_matches_reference(skel, max_spur)
+
 
 class TestNormalize:
     def test_dims_and_edges(self):
@@ -553,6 +634,15 @@ class TestNormalize:
                     expect[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = True
         expect = raster.thin_to_convergence(expect)
         assert np.array_equal(out, expect)
+
+    def test_shrink_matches_reduceat_for_every_source_size(self):
+        rng = np.random.default_rng(5)
+        for src in range(101, 401):
+            img = rng.random((src, 9)) < rng.uniform(0.02, 0.5)
+            for axis, grid in ((0, img), (1, img.T.copy())):
+                out = raster._axis_scale(grid, axis, raster.NORM_SIZE)
+                assert out.dtype == bool
+                assert np.array_equal(out, reference_axis_scale(grid, axis, raster.NORM_SIZE))
 
     def test_downscale_never_empties(self):
         img = np.zeros((400, 400), dtype=bool)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
-from devoc import structural
+from devoc import pipeline, raster, structural, synth
 from devoc.raster import EmptyImageError
 from devoc.structural import (
     InconsistentInputsError,
@@ -16,6 +17,8 @@ from devoc.structural import (
     StructuralConfig,
     Termination,
 )
+
+from conftest import brute_neighbor_count, random_skeleton
 
 
 def canvas(*pixel_runs):
@@ -310,3 +313,206 @@ class TestConfig:
         assert cfg.step_tol == 2
         assert cfg.full_span == 0.85 and cfg.partial_span == 0.25
         assert cfg.spine_height_frac == 0.75
+
+
+# The oracles below are the per-point spine search, spine location and
+# headline trace: every top walked with an on-path check, masks built one
+# slice per pixel, moves bounds-checked with a visited set. They share no
+# code with devoc.structural.
+
+
+def _near_straight(values, step_tol, drift_tol_frac):
+    max_step = max((abs(b - a) for a, b in zip(values, values[1:])), default=0)
+    return max_step <= step_tol and max(values) - min(values) <= math.ceil(drift_tol_frac * len(values))
+
+
+def _reference_walk_down(body, r, c):
+    h, w = body.shape
+    path = [(r, c)]
+    while True:
+        nr = path[-1][0] + 1
+        if nr >= h:
+            break
+        cc = path[-1][1]
+        step = None
+        if body[nr, cc]:
+            step = (nr, cc)
+        else:
+            cands = [(nr, c2) for c2 in (cc - 1, cc + 1) if 0 <= c2 < w and body[nr, c2]]
+            if len(cands) == 1:
+                step = cands[0]
+            elif len(cands) == 2:
+                step = min(cands, key=lambda p: abs(p[1] - c))
+        if step is None:
+            break
+        path.append(step)
+    return path
+
+
+def reference_vertical_candidates(skel, trace, cfg):
+    h, w = skel.shape
+    trace_mask = np.zeros_like(skel)
+    if trace is not None:
+        for r, c in trace.points:
+            trace_mask[r, c] = True
+    body = skel & ~ndimage.binary_dilation(trace_mask, structure=np.ones((3, 3), dtype=bool))
+    min_len = math.ceil(cfg.spine_height_frac * h)
+    p = np.pad(body, 1)
+    above = p[0:h, 0:w] | p[0:h, 1 : w + 1] | p[0:h, 2 : w + 2]
+    tops = body & ~above
+    on_path = np.zeros_like(body)
+    candidates = []
+    for r, c in np.argwhere(tops):
+        if on_path[r, c]:
+            continue
+        path = _reference_walk_down(body, int(r), int(c))
+        for rr, cc in path:
+            on_path[rr, cc] = True
+        if len(path) < min_len:
+            continue
+        cols = [cc for _, cc in path]
+        if _near_straight(cols, cfg.step_tol, cfg.drift_tol_frac):
+            candidates.append((int(np.median(cols)), tuple(path)))
+    candidates.sort(key=lambda t: -len(t[1]))
+    kept = []
+    for col, path in candidates:
+        if all(abs(col - k[0]) > 2 for k in kept):
+            kept.append((col, path))
+    kept.sort(key=lambda t: -t[0])
+    return kept
+
+
+def reference_spine_location(skel, shirorekha, spine_col, spine_path, matra_path, cfg):
+    mask = skel.copy()
+    band_bottom = cfg.step_tol
+    if shirorekha.trace is not None:
+        band_bottom = max(band_bottom, max(r for r, _ in shirorekha.trace.points) + cfg.step_tol)
+    mask[: band_bottom + 1, :] = False
+    h, w = skel.shape
+    for path in (spine_path, matra_path):
+        for r, c in path:
+            mask[r, max(c - 1, 0) : min(c + 2, w)] = False
+    mass = int(mask[:, spine_col + 1 :].sum())
+    return SpineKind.END if mass < cfg.mid_mass_tol else SpineKind.MID
+
+
+def reference_trace(skel, max_consecutive_up):
+    rr, cc = np.nonzero(skel)
+    h, w = skel.shape
+    c0 = int(cc.max())
+    pos = (int(rr[cc == c0].min()), c0)
+    points = [pos]
+    seen = {pos}
+    up_run = 0
+    while True:
+        moved = False
+        for i, (dr, dc) in enumerate(((0, -1), (-1, -1), (1, -1), (-1, 0))):
+            if i == 3 and up_run >= max_consecutive_up:
+                continue
+            r, c = pos[0] + dr, pos[1] + dc
+            if 0 <= r < h and 0 <= c < w and skel[r, c] and (r, c) not in seen:
+                pos = (r, c)
+                points.append(pos)
+                seen.add(pos)
+                up_run = up_run + 1 if (dr, dc) == (-1, 0) else 0
+                moved = True
+                break
+        if not moved:
+            break
+    if len(points) == 1:
+        term = Termination.NO_MOVE
+    elif brute_neighbor_count(skel, *points[-1]) == 1:
+        term = Termination.OPEN_END
+    else:
+        term = Termination.LOOP
+    return structural.Trace(tuple(points), term)
+
+
+def reference_detect_spines(skel, shirorekha, cfg):
+    """detect_spines with the oracle candidate search and spine location."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structural, "_vertical_candidates", reference_vertical_candidates)
+        mp.setattr(structural, "_spine_location", reference_spine_location)
+        return structural.detect_spines(skel, shirorekha, cfg)
+
+
+def assert_stage_one_matches_reference(skel, cfg, max_consecutive_up):
+    trace = structural.trace_from_rightmost(skel, max_consecutive_up)
+    assert trace == reference_trace(skel, max_consecutive_up)
+    for t in (trace, None):
+        assert structural._vertical_candidates(skel, t, cfg) == reference_vertical_candidates(skel, t, cfg)
+    # any trace will do: detect_spines reads only the kind and the points
+    shiro = ShirorekhaResult(ShirorekhaKind.FULL, trace, 1.0)
+    assert structural.detect_spines(skel, shiro, cfg) == reference_detect_spines(skel, shiro, cfg)
+    shiro = structural.detect_shirorekha(skel, cfg)
+    assert structural.detect_spines(skel, shiro, cfg) == reference_detect_spines(skel, shiro, cfg)
+
+
+class TestStageOneMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 60),
+        st.floats(0.02, 0.6),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from([-0.2, 0.0, 0.3, 0.75, 1.0, 1.3]),
+        st.integers(0, 3),
+        st.floats(0.0, 0.3),
+        st.integers(0, 4),
+        st.integers(0, 40),
+    )
+    def test_random_arrays(self, h, w, density, seed, thinned, height_frac, step_tol, drift_frac, max_up, mass_tol):
+        img = np.random.default_rng(seed).random((h, w)) < density
+        if thinned:
+            img = raster.thin_to_convergence(img)
+        if not img.any():
+            return
+        cfg = StructuralConfig(
+            step_tol=step_tol, drift_tol_frac=drift_frac, spine_height_frac=height_frac, mid_mass_tol=mass_tol
+        )
+        assert_stage_one_matches_reference(img, cfg, max_up)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 0.75]), st.integers(1, 100), st.integers(0, 40))
+    def test_random_skeletons_with_bars(self, seed, height_frac, max_up, mass_tol):
+        # long verticals so that candidates, matras and too_many all occur
+        rng = np.random.default_rng(seed)
+        skel = random_skeleton(rng)
+        skel[2, rng.integers(0, 30) : rng.integers(70, 100)] = True
+        for col in rng.choice(100, size=rng.integers(1, 5), replace=False):
+            skel[rng.integers(2, 30) : rng.integers(60, 100), col] = True
+        cfg = StructuralConfig(spine_height_frac=height_frac, mid_mass_tol=mass_tol)
+        assert_stage_one_matches_reference(skel, cfg, max_up)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_spine_location_on_random_paths(self, seed, with_trace, with_matra):
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(2, 40, size=2))
+        skel = rng.random((h, w)) < rng.uniform(0.05, 0.6)
+
+        def path():
+            r0 = int(rng.integers(0, h))
+            cols = np.clip(rng.integers(0, w) + np.cumsum(rng.integers(-1, 2, size=h - r0)), 0, w - 1)
+            return tuple(zip(range(r0, h), (int(c) for c in cols)))
+
+        points = tuple((int(r), int(c)) for r, c in zip(rng.integers(0, h, 6), rng.integers(0, w, 6)))
+        trace = structural.Trace(points, Termination.OPEN_END) if with_trace else None
+        shiro = ShirorekhaResult(ShirorekhaKind.FULL, trace, 1.0)
+        spine_col, spine_path, matra_path = int(rng.integers(0, w)), path(), path() if with_matra else ()
+        step_tol = int(rng.integers(0, 3))
+        # the kind flips where the mass right of the spine crosses the
+        # tolerance, so agreeing at every tolerance means equal masses
+        for tol in range(h * w + 2):
+            cfg = StructuralConfig(step_tol=step_tol, mid_mass_tol=tol)
+            args = (skel, shiro, spine_col, spine_path, matra_path, cfg)
+            assert structural._spine_location(*args) == reference_spine_location(*args)
+
+    def test_corpus_glyphs_at_one_pixel_and_thick_pen(self, templates):
+        cfg = StructuralConfig()
+        for s in synth.generate_corpus(templates, 2, amplitude=2):
+            thick = raster.thicken(np.repeat(np.repeat(s.image, 2, axis=0), 2, axis=1))
+            for img in (s.image, thick):
+                skel = pipeline.preprocess_glyph(img)
+                assert_stage_one_matches_reference(skel, cfg, cfg.max_consecutive_up)
