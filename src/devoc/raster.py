@@ -11,16 +11,16 @@ skeleton: bounding-box crop -> thicken -> thin -> prune -> normalize
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
+import operator
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 NORM_SIZE = 100
-
-_EIGHT = np.ones((3, 3), dtype=int)
 
 
 class RasterError(Exception):
@@ -55,144 +55,94 @@ class BoundingBox:
 # Netpbm I/O
 
 
-class _TokenReader:
-    """Whitespace/comment-aware token scanner over a netpbm buffer."""
+# One rule reads every text part of a netpbm file, the header and the P1/P2
+# bodies: only _SEPARATORS separate tokens, and a _COMMENT runs from '#' to
+# the end of its line. A header token also takes at most one whitespace byte
+# after it, so the last one ends where a P4/P5 raster starts.
+_SEPARATORS = b" \t\r\n"
+_COMMENT = re.compile(rb"#[^\n]*")
+_LEXEME = re.compile(b"%s|([^#%s]+)[%s]?" % (_COMMENT.pattern, _SEPARATORS, _SEPARATORS))
+_TO_SPACE = bytes.maketrans(_SEPARATORS, b" " * len(_SEPARATORS))
+_CHUNK = 1 << 16  # text body bytes split at once, rounded up to a whole line
+_HEADER_INTS = {b"P1": 2, b"P4": 2, b"P2": 3, b"P5": 3}  # width, height[, maxval]
 
-    def __init__(self, buf):
-        self.buf = buf
-        self.pos = 0
 
-    def next_token(self):
-        buf, n = self.buf, len(self.buf)
-        i = self.pos
-        while i < n:
-            c = buf[i : i + 1]
-            if c in b" \t\r\n":
-                i += 1
-            elif c == b"#":
-                j = buf.find(b"\n", i)
-                i = n if j < 0 else j + 1
-            else:
-                break
-        if i >= n:
+def _parse(buf):
+    """The foreground of a netpbm buffer: PBM (P1/P4) value 1, PGM (P2/P5)
+    the darker half of the range. A text body is split a chunk of lines at
+    a time, never into a list of all its lines or tokens."""
+    words = (m for m in _LEXEME.finditer(buf) if m[1])  # header tokens
+    magic = buf[:2]
+    if magic not in _HEADER_INTS or next(words)[1] != magic:
+        raise MalformedHeaderError("not a P1, P2, P4 or P5 netpbm file")
+    fields = []
+    for _ in range(_HEADER_INTS[magic]):
+        word = next(words, None)
+        if word is None:
             raise MalformedHeaderError("unexpected end of header")
-        j = i
-        while j < n and buf[j : j + 1] not in b" \t\r\n#":
-            j += 1
-        self.pos = j
-        return buf[i:j]
-
-    def next_int(self):
-        tok = self.next_token()
         try:
-            return int(tok)
+            fields.append(int(word[1]))
         except ValueError:
-            raise MalformedHeaderError("expected integer, got %r" % tok)
-
-    def skip_single_whitespace(self):
-        # binary rasters start exactly one whitespace byte after the header
-        if self.pos < len(self.buf) and self.buf[self.pos : self.pos + 1] in b" \t\r\n":
-            self.pos += 1
-
-
-def _read_file(path):
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise RasterError("cannot read %s: %s" % (path, exc))
-
-
-def _check_dims(width, height):
+            raise MalformedHeaderError("expected integer, got %r" % word[1])
+    width, height, maxval = (fields + [1])[:3]  # a PBM's maxval is 1
     if width < 1 or height < 1:
         raise MalformedHeaderError("bad dimensions %dx%d" % (width, height))
-
-
-def _parse_p1_body(body, width, height):
-    # '#' starts a comment that runs to the end of its line; what is left
-    # must be '0'/'1' pixels and whitespace, digits possibly packed together
-    live = b"".join(line.split(b"#", 1)[0] for line in body.split(b"\n"))
-    bad = live.translate(None, b"01 \t\r")
-    if bad:
-        raise MalformedHeaderError("bad P1 pixel byte %r" % bad[:1])
-    bits = np.frombuffer(live.translate(None, b" \t\r"), dtype=np.uint8)
-    if bits.size != width * height:
-        raise DimensionMismatchError(
-            "P1 raster has %d pixels, header says %d" % (bits.size, width * height)
-        )
-    return (bits == ord("1")).reshape(height, width)
-
-
-def _parse_pbm(buf):
-    """Parse a P1 (ascii) or P4 (packed) PBM buffer. PBM value 1 -> foreground."""
-    rd = _TokenReader(buf)
-    magic = rd.next_token()
-    if magic not in (b"P1", b"P4"):
-        raise MalformedHeaderError("not a PBM file (magic %r)" % magic)
-    width = rd.next_int()
-    height = rd.next_int()
-    _check_dims(width, height)
-    if magic == b"P1":
-        return _parse_p1_body(buf[rd.pos :], width, height)
-    # P4: rows padded to whole bytes
-    rd.skip_single_whitespace()
-    row_bytes = (width + 7) // 8
-    raster = buf[rd.pos : rd.pos + row_bytes * height]
-    if len(raster) != row_bytes * height:
-        raise DimensionMismatchError("P4 raster truncated")
-    bits = np.unpackbits(np.frombuffer(raster, dtype=np.uint8).reshape(height, row_bytes), axis=1)
-    return bits[:, :width].astype(bool)
-
-
-_TAB_CR_TO_SPACE = bytes.maketrans(b"\t\r", b"  ")
-
-
-def _parse_pgm(buf):
-    """Parse a P2/P5 PGM buffer and binarize: darker half of the range -> foreground."""
-    rd = _TokenReader(buf)
-    magic = rd.next_token()
-    if magic not in (b"P2", b"P5"):
-        raise MalformedHeaderError("not a PGM file (magic %r)" % magic)
-    width = rd.next_int()
-    height = rd.next_int()
-    maxval = rd.next_int()
-    _check_dims(width, height)
-    if maxval < 1 or maxval > 65535:
+    if not 1 <= maxval <= 65535:
         raise MalformedHeaderError("bad maxval %d" % maxval)
     n = width * height
-    if magic == b"P2":
-        # the tokens _TokenReader reads ('#' comments run to the end of their
-        # line; only space, tab, CR and LF separate), split one line at a time
-        lines = buf[rd.pos :].split(b"\n")
-        words = (ln.split(b"#", 1)[0].translate(_TAB_CR_TO_SPACE).split(b" ") for ln in lines)
-        values = map(int, itertools.islice(filter(None, itertools.chain.from_iterable(words)), n))
-        try:
-            at_most = np.fromiter(map((maxval / 2).__ge__, values), dtype=bool)  # v <= maxval / 2
-        except ValueError:  # a token int() refuses
-            raise DimensionMismatchError("P2 raster truncated")
-        if at_most.size < n:
-            raise DimensionMismatchError("P2 raster truncated")
-        return at_most.reshape(height, width)
-    rd.skip_single_whitespace()
-    itemsize = 1 if maxval < 256 else 2
-    raster = buf[rd.pos : rd.pos + n * itemsize]
-    if len(raster) != n * itemsize:
-        raise DimensionMismatchError("P5 raster truncated")
-    dtype = np.uint8 if itemsize == 1 else ">u2"
-    grid = np.frombuffer(raster, dtype=dtype).reshape(height, width).astype(int)
-    return grid <= maxval / 2
+    if magic == b"P1":
+        digits = b"".join(_body_tokens(buf, word.end()))
+        bad = digits.translate(None, b"01")
+        if bad:
+            raise MalformedHeaderError("bad P1 pixel byte %r" % bad[:1])
+        if len(digits) != n:
+            raise DimensionMismatchError("P1 raster has %d pixels, header says %d" % (len(digits), n))
+        return (np.frombuffer(digits, dtype=np.uint8) == ord("1")).reshape(height, width)
+    if magic == b"P4":  # rows padded to whole bytes
+        row_bytes = (width + 7) // 8
+        packed = _raster(buf, word.end(), row_bytes * height, magic).reshape(height, row_bytes)
+        return np.unpackbits(packed, axis=1)[:, :width].astype(bool)
+    ink = functools.partial(operator.ge, maxval / 2)  # gray <= maxval / 2
+    if magic == b"P5":
+        itemsize = 1 if maxval < 256 else 2
+        gray = _raster(buf, word.end(), n * itemsize, magic).view(np.uint8 if itemsize == 1 else ">u2")
+        return ink(gray.reshape(height, width))
+    values = map(int, itertools.islice(_body_tokens(buf, word.end()), n))
+    try:  # a token int() refuses, or too few tokens to reshape
+        return np.fromiter(map(ink, values), dtype=bool).reshape(height, width)
+    except ValueError:
+        raise DimensionMismatchError("P2 raster truncated")
 
 
-_PARSERS = {b"P1": _parse_pbm, b"P4": _parse_pbm, b"P2": _parse_pgm, b"P5": _parse_pgm}
+def _body_tokens(buf, pos):
+    """The tokens of a text body from pos on, split a chunk of whole lines at
+    a time: a newline ends every token and every comment."""
+    return filter(None, itertools.chain.from_iterable(_split_chunks(buf, pos)))
+
+
+def _split_chunks(buf, pos):
+    while pos < len(buf):
+        end = buf.find(b"\n", pos + _CHUNK) + 1 or len(buf)
+        yield _COMMENT.sub(b"", buf[pos:end]).translate(_TO_SPACE).split(b" ")
+        pos = end
+
+
+def _raster(buf, start, size, magic):
+    """The size bytes of a binary raster from start on, as uint8."""
+    raster = buf[start : start + size]
+    if len(raster) != size:
+        raise DimensionMismatchError("%s raster truncated" % magic.decode())
+    return np.frombuffer(raster, dtype=np.uint8)
 
 
 def load_image(path):
-    """Dispatch on the netpbm magic number (PBM P1/P4, PGM P2/P5)."""
-    buf = _read_file(path)
-    parse = _PARSERS.get(buf[:2])
-    if parse is None:
-        raise MalformedHeaderError("unsupported netpbm magic %r" % buf[:2])
-    return parse(buf)
+    """Read a netpbm image (PBM P1/P4, PGM P2/P5) as a bool foreground grid."""
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as exc:
+        raise RasterError("cannot read %s: %s" % (path, exc))
+    return _parse(buf)
 
 
 def save_pbm(path, img):
@@ -283,22 +233,6 @@ def thicken(img):
     return out
 
 
-def _spare_doomed(skel, dele):
-    # parallel deletion can wipe out tiny components (isolated 2x2 squares);
-    # keep one pixel of any component that would vanish entirely
-    lab, n = ndimage.label(skel, structure=_EIGHT)
-    if n == 0:
-        return
-    sizes = np.bincount(lab.ravel(), minlength=n + 1)
-    killed = np.bincount(lab[dele], minlength=n + 1)
-    doomed = np.nonzero((killed == sizes) & (sizes > 0))[0]
-    for comp in doomed:
-        if comp == 0:
-            continue
-        rr, cc = np.nonzero(lab == comp)
-        dele[rr[0], cc[0]] = False
-
-
 def _bordered(img):
     """img as a bool grid with a one-pixel zero border, plus the flat
     offsets of the _RING neighbors in that grid. Every 3x3 rule below reads
@@ -351,16 +285,34 @@ def _zs_delete(grid, cand, ring, table):
     if dele.size == 0:
         return dele
     buf[dele] = False
-    if not buf[dele[:, None] + ring].any(axis=1).all():
-        # a deleted pixel kept no 8-neighbor, so its whole component may be
-        # gone: redo the deletion with the component check
-        buf[dele] = True
-        mask = np.zeros(grid.shape, dtype=bool)
-        mask.reshape(-1)[dele] = True
-        _spare_doomed(grid[1:-1, 1:-1], mask[1:-1, 1:-1])
-        dele = np.flatnonzero(mask)
-        buf[dele] = False
+    kept = buf[dele[:, None] + ring].any(axis=1)
+    if not kept.all():
+        # a deleted pixel kept no 8-neighbor, so its whole component may be gone
+        _spare_doomed(buf, dele, ~kept, ring)
+        dele = dele[~buf[dele]]
     return dele
+
+
+def _spare_doomed(buf, dele, alone, ring):
+    """Put back the raster-first pixel of each component that the deletion
+    of dele (flat indices, cleared in buf) wiped out. Such a component lost
+    every pixel, so none of them kept a neighbor (alone): walk the deleted
+    pixels from each alone one, and the component is gone when every pixel
+    the walk reaches is alone."""
+    unwalked, lonely = set(dele.tolist()), set(dele[alone].tolist())
+    ring = ring.tolist()
+    for start in lonely:
+        if start not in unwalked:  # an earlier walk reached it
+            continue
+        unwalked.remove(start)
+        comp = [start]
+        for i in comp:  # grows as the walk reaches deleted neighbors
+            for j in (i + d for d in ring):
+                if j in unwalked:
+                    unwalked.remove(j)
+                    comp.append(j)
+        if lonely.issuperset(comp):
+            buf[min(comp)] = True
 
 
 def _distinct(idx, stamp):

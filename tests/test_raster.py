@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,9 +133,44 @@ class TestPgm:
             raster.load_image(write(tmp_path, "a.txt", "hello"))
 
 
+class _TokenReader:
+    """Whitespace/comment-aware token scanner over a netpbm buffer."""
+
+    def __init__(self, buf):
+        self.buf = buf
+        self.pos = 0
+
+    def next_token(self):
+        buf, n = self.buf, len(self.buf)
+        i = self.pos
+        while i < n:
+            c = buf[i : i + 1]
+            if c in b" \t\r\n":
+                i += 1
+            elif c == b"#":
+                j = buf.find(b"\n", i)
+                i = n if j < 0 else j + 1
+            else:
+                break
+        if i >= n:
+            raise MalformedHeaderError("unexpected end of header")
+        j = i
+        while j < n and buf[j : j + 1] not in b" \t\r\n#":
+            j += 1
+        self.pos = j
+        return buf[i:j]
+
+    def next_int(self):
+        tok = self.next_token()
+        try:
+            return int(tok)
+        except ValueError:
+            raise MalformedHeaderError("expected integer, got %r" % tok)
+
+
 def reference_parse_p2(buf):
     """The per-token P2 reader: one _TokenReader.next_int() per pixel."""
-    rd = raster._TokenReader(buf)
+    rd = _TokenReader(buf)
     assert rd.next_token() == b"P2"
     width, height, maxval = rd.next_int(), rd.next_int(), rd.next_int()
     vals = []
@@ -166,16 +204,55 @@ class TestP2MatchesTokenLoop:
         n = data.draw(st.integers(0, w * h + 2))
         body = b"".join(data.draw(token) + data.draw(sep) for _ in range(n))
         buf = b"P2\n%d %d\n%d\n" % (w, h, maxval) + body
-        assert _outcome(raster._parse_pgm, buf) == _outcome(reference_parse_p2, buf)
+        assert _outcome(raster._parse, buf) == _outcome(reference_parse_p2, buf)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_chunk_cuts_split_no_token_or_comment(self, monkeypatch, chunk):
+        p2 = b"P2\n# c\n3 2\n255\n0 12#7 7\n 255\t\r\n#x\n100\n 200 3\n"
+        p1 = b"P1\n3 2\n1 0#1 1\n1\n# 0\n0 01\n"
+        monkeypatch.setattr(raster, "_CHUNK", chunk)
+        assert _outcome(raster._parse, p2) == _outcome(reference_parse_p2, p2) == [[1, 1, 0], [1, 0, 1]]
+        assert _outcome(raster._parse, p1) == [[1, 0, 1], [0, 0, 1]]
 
     def test_wrapped_file(self):
         vals = np.random.default_rng(3).integers(0, 256, size=(37, 41))
         lines = [" ".join(map(str, row[i : i + 17])) for row in vals for i in range(0, 41, 17)]
         buf = ("P2\n# made by hand\n41 37\n255\n" + "\n".join(lines) + "\n").encode()
-        out = raster._parse_pgm(buf)
+        out = raster._parse(buf)
         assert out.dtype == bool
         assert np.array_equal(out, reference_parse_p2(buf))
         assert np.array_equal(out, vals <= 127.5)
+
+
+def _traced(buf):
+    """raster._parse(buf), or the class of what it raised, and the peak bytes
+    traced during the call."""
+    tracemalloc.start()
+    try:
+        out = raster._parse(buf)
+    except Exception as exc:
+        out = type(exc)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestNetpbmMemory:
+    @pytest.mark.parametrize(
+        "magic, maxval", [(b"P1", b""), (b"P2", b"255"), (b"P4", b""), (b"P5", b"255"), (b"P5", b"65535")]
+    )
+    def test_header_alone_allocates_nothing(self, magic, maxval):
+        # 10^10 pixels promised, three delivered: refused before any raster-sized allocation
+        out, peak = _traced(b"%s\n100000 100000\n%s\n0 1 1\n" % (magic, maxval))
+        assert out is DimensionMismatchError
+        assert peak < 1 << 20
+
+    def test_p2_one_value_per_line_in_bounded_memory(self):
+        vals = np.random.default_rng(5).integers(0, 256, size=(1000, 1000))
+        out, peak = _traced(b"P2\n1000 1000\n255\n" + "\n".join(map(str, vals.ravel().tolist())).encode() + b"\n")
+        assert np.array_equal(out, vals <= 127.5)
+        assert peak <= 10 << 20
 
 
 class TestGeometry:
@@ -527,9 +604,9 @@ class TestThinMatchesReference:
         calls = []
         spare = raster._spare_doomed
 
-        def counting_spare(skel, dele):
+        def counting_spare(*args):
             calls.append(1)
-            spare(skel, dele)
+            spare(*args)
 
         monkeypatch.setattr(raster, "_spare_doomed", counting_spare)
         img = np.zeros((12, 30), dtype=bool)
@@ -542,6 +619,22 @@ class TestThinMatchesReference:
         monkeypatch.setattr(raster, "_spare_doomed", spare)
         assert np.array_equal(out, reference_thin(img))
         assert out[8:10, 12:14].sum() == 1
+
+
+def test_numpy_alone_is_enough():
+    # scipy is blocked, so importing it anywhere in devoc fails; the isolated
+    # 2x2 square makes thinning take the vanishing-component path
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import numpy as np, devoc.cli\n"
+        "from devoc import raster\n"
+        "img = np.zeros((12, 30), dtype=bool); img[2:5, 2:28] = True; img[8:10, 12:14] = True\n"
+        "assert raster.thin_to_convergence(img)[8:10, 12:14].sum() == 1\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPrune:
