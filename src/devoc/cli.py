@@ -91,8 +91,10 @@ def _cmd_synth(args, cfg, say):
 
 
 def _cmd_train(args, cfg, say):
-    modelset, reports, routing_log = pipeline.train_all(pipeline.load_corpus(args.corpus), cfg)
+    analysed = {}
+    modelset, reports, routing_log = pipeline.train_all(pipeline.load_corpus(args.corpus), cfg, analysed)
     pipeline.save_modelset(args.modeldir, modelset)
+    pipeline.save_train_analysis(args.modeldir, analysed, cfg)
     for key in sorted(reports):
         rep = reports[key]
         say(
@@ -106,10 +108,15 @@ def _cmd_train(args, cfg, say):
 
 def _cmd_eval(args, cfg, say):
     samples = pipeline.load_corpus(args.corpus)
-    report = pipeline.evaluate(samples, pipeline.load_modelset(args.modeldir), cfg)
+    modelset = pipeline.load_modelset(args.modeldir)
+    report = pipeline.evaluate(samples, modelset, cfg, pipeline.load_train_analysis(args.modeldir, cfg))
     print(pipeline.render_report(report))
     raster.write_utf8(os.path.join(args.modeldir, "report.csv"), pipeline.report_csv(report))
     raster.write_utf8(os.path.join(args.modeldir, "predictions.csv"), pipeline.predictions_csv(report))
+    say(
+        "reused the training analysis of %d of %d glyphs, analysed %d"
+        % (report.reused, len(samples), len(samples) - report.reused)
+    )
     say("report.csv and predictions.csv written to %s" % args.modeldir)
 
 

@@ -1,5 +1,7 @@
 """End-to-end orchestration: preprocess -> structural routing -> per-group
 neural classification, plus corpus training and Table-style evaluation.
+Training records the stage-one result of each train glyph, and evaluation
+reuses it rather than analysing the same image again.
 
 Routing errors (detected group != manifest group) count against accuracy:
 the reported numbers are what a user of the whole system experiences.
@@ -8,8 +10,10 @@ the reported numbers are what a user of the whole system experiences.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +23,12 @@ from .config import Config
 REJECTED = "REJECTED"
 MODELSET_MAGIC = "DEVOC-MODELSET v1"
 MODELSET_NAME = "modelset.txt"
+TRAIN_ANALYSIS_NAME = "train_analysis.csv"
+TRAIN_ANALYSIS_MAGIC = "DEVOC-TRAIN-ANALYSIS"
+# The record's format version. Bump it with every change to stage one's
+# output, that is whenever TestAnalyze::test_stage_one_fingerprint's constant
+# changes, so that no model directory hands eval an analysis made by other code.
+TRAIN_ANALYSIS_VERSION = 1
 
 
 class InsufficientDataError(Exception):
@@ -82,19 +92,24 @@ def analyze_glyph(img, cfg=None):
     return Analysis(skel, shiro, spine, group, vec)
 
 
+def classify(group, raw_features, modelset, cfg):
+    """Stage two: the detected group's network on the scaled raw features;
+    it never overrides stage one. Glyphs routed to a group with no trained
+    model are Rejected with confidence 0."""
+    entry = modelset.models.get(structural.group_name(group))
+    if entry is None:
+        return Prediction(group, REJECTED, 0.0)
+    net, labels = entry
+    probs = nn.forward(net, features.scale_features(raw_features, cfg.feature_cap))
+    best = int(np.argmax(probs))
+    return Prediction(group, labels[best], float(probs[best]))
+
+
 def recognize(img, modelset, cfg=None):
-    """Two-stage recognition; stage two never overrides stage one. Glyphs
-    routed to a group with no trained model are Rejected with confidence 0."""
+    """Two-stage recognition: analyze_glyph, then classify."""
     cfg = cfg or Config()
     analysis = analyze_glyph(img, cfg)
-    key = structural.group_name(analysis.group)
-    entry = modelset.models.get(key)
-    if entry is None:
-        return Prediction(analysis.group, REJECTED, 0.0)
-    net, labels = entry
-    probs = nn.forward(net, features.scale_features(analysis.raw_features, cfg.feature_cap))
-    best = int(np.argmax(probs))
-    return Prediction(analysis.group, labels[best], float(probs[best]))
+    return classify(analysis.group, analysis.raw_features, modelset, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +170,12 @@ def _check_corpus(samples):
 # Training
 
 
-def train_all(samples, cfg=None):
+def train_all(samples, cfg=None, analysed=None):
     """Partition the training split by *detected* structural group (routing
     is part of the system under test), train one network per group.
-    Returns (GroupModelSet, {group: TrainReport}, routing_log)."""
+    Returns (GroupModelSet, {group: TrainReport}, routing_log). A dict passed
+    as analysed receives path -> RecordedAnalysis for every train glyph, the
+    record save_train_analysis writes."""
     cfg = cfg or Config()
     _check_corpus(samples)
     by_group = {}
@@ -168,6 +185,8 @@ def train_all(samples, cfg=None):
             continue
         with _naming(s):
             analysis = analyze_glyph(s.image, cfg)
+        if analysed is not None:
+            analysed[s.path] = RecordedAnalysis(_digest(s.image), analysis.group, analysis.raw_features)
         key = structural.group_name(analysis.group)
         if key != s.group:
             routing_log.append((s.path, s.group, key))
@@ -225,20 +244,31 @@ class EvalReport:
     rows: tuple  # GroupRow per manifest group
     overall_accuracy: float  # percent over the test split
     records: tuple  # SampleRecord per sample, both splits
+    reused: int  # samples classified from a recorded analysis
 
 
 def _accuracy(correct, total):
     return float("nan") if total == 0 else 100.0 * correct / total
 
 
-def evaluate(samples, modelset, cfg=None):
+def evaluate(samples, modelset, cfg=None, analysed=None):
     """Run recognition over both splits; a sample is correct iff the
-    predicted label equals the manifest label (misrouting counts as wrong)."""
+    predicted label equals the manifest label (misrouting counts as wrong).
+    A sample whose path and image digest match an entry of analysed (from
+    load_train_analysis) is classified from that recorded stage-one result
+    instead of being analysed again."""
     cfg = cfg or Config()
+    analysed = analysed or {}
     records = []
+    reused = 0
     for s in samples:
-        with _naming(s):
-            pred = recognize(s.image, modelset, cfg)
+        known = analysed.get(s.path)
+        if known is not None and known.digest == _digest(s.image):
+            pred = classify(known.group, known.raw_features, modelset, cfg)
+            reused += 1
+        else:
+            with _naming(s):
+                pred = recognize(s.image, modelset, cfg)
         records.append(
             SampleRecord(
                 s.path,
@@ -262,7 +292,7 @@ def evaluate(samples, modelset, cfg=None):
     )
     test = [r for r in records if r.split == "test"]
     overall = _accuracy(sum(r.predicted_label == r.true_label for r in test), len(test))
-    return EvalReport(rows, overall, tuple(records))
+    return EvalReport(rows, overall, tuple(records), reused)
 
 
 def _fmt_acc(v):
@@ -343,3 +373,74 @@ def load_modelset(dirpath):
         net, labels = nn.load_model(os.path.join(dirpath, fname))
         modelset.models[key] = (net, labels)
     return modelset
+
+
+# ---------------------------------------------------------------------------
+# The stage-one record of the train glyphs
+
+
+@dataclass(frozen=True)
+class RecordedAnalysis:
+    digest: str  # of the decoded image, see _digest
+    group: structural.StructuralClass
+    raw_features: np.ndarray
+
+
+def _digest(img):
+    """SHA-256 of a decoded glyph: its shape and its packed bits."""
+    return hashlib.sha256(b"%dx%d:" % img.shape + np.packbits(img).tobytes()).hexdigest()
+
+
+def _record_header(cfg):
+    """The record's first line: its format version and every setting stage
+    one reads, the StructuralConfig fields and max_spur, each exactly."""
+    names = [f.name for f in fields(structural.StructuralConfig)] + ["max_spur"]
+    settings = ["%s=%r" % (n, getattr(cfg, n)) for n in names]
+    return " ".join([TRAIN_ANALYSIS_MAGIC, "v%d" % TRAIN_ANALYSIS_VERSION] + settings)
+
+
+_RECORD_COLUMNS = ",".join(
+    ["path", "digest", "detected_group"]
+    + ["%s%d" % (kind, t) for t in range(features.GRID * features.GRID) for kind in ("int", "end")]
+)
+# path, digest, group and the counts, each of which fits in an int64
+_RECORD_ROW = re.compile(r"([^,]+),([0-9a-f]{64}),([a-z]+_[a-z]+)" + r",([0-9]{1,18})" * features.N_FEATURES)
+
+
+def save_train_analysis(dirpath, analysed, cfg):
+    """Write train_analysis.csv: the settings header, then per train glyph
+    its corpus path, image digest, detected group and the 32 raw feature
+    counts (intersections and open ends per tile, row-major)."""
+    lines = [_record_header(cfg), _RECORD_COLUMNS]
+    for path, rec in analysed.items():
+        counts = ",".join(map(str, rec.raw_features.tolist()))
+        lines.append("%s,%s,%s,%s" % (path, rec.digest, structural.group_name(rec.group), counts))
+    raster.write_utf8(os.path.join(dirpath, TRAIN_ANALYSIS_NAME), "\n".join(lines) + "\n")
+
+
+def load_train_analysis(dirpath, cfg):
+    """path -> RecordedAnalysis from dirpath's train_analysis.csv. Empty when
+    there is none, or when it was written by another format version or
+    under other stage-one settings than cfg's."""
+    path = os.path.join(dirpath, TRAIN_ANALYSIS_NAME)
+    if not os.path.exists(path):
+        return {}
+    lines = raster.read_utf8(path, MalformedModelSetError).split("\n")
+    if lines[0].split(" ")[0] != TRAIN_ANALYSIS_MAGIC:
+        raise MalformedModelSetError("%s: bad header" % path)
+    if lines[0] != _record_header(cfg):
+        return {}
+    if lines[1:2] != [_RECORD_COLUMNS] or lines[-1] != "":
+        raise MalformedModelSetError("%s: bad column line or no final newline" % path)
+    rows, counts = [], []
+    for lineno, line in enumerate(lines[2:-1], 3):
+        m = _RECORD_ROW.fullmatch(line)
+        if m is None:
+            raise MalformedModelSetError("%s:%d: bad row" % (path, lineno))
+        try:
+            rows.append((m[1], m[2], structural.parse_group_name(m[3])))
+        except ValueError as exc:
+            raise MalformedModelSetError("%s:%d: %s" % (path, lineno, exc))
+        counts.append(m.groups()[3:])
+    raw = np.array(counts, dtype=np.int64)
+    return {rel: RecordedAnalysis(digest, group, vec) for (rel, digest, group), vec in zip(rows, raw)}

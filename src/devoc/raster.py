@@ -63,14 +63,15 @@ _SEPARATORS = b" \t\r\n"
 _COMMENT = re.compile(rb"#[^\n]*")
 _LEXEME = re.compile(b"%s|([^#%s]+)[%s]?" % (_COMMENT.pattern, _SEPARATORS, _SEPARATORS))
 _TO_SPACE = bytes.maketrans(_SEPARATORS, b" " * len(_SEPARATORS))
-_CHUNK = 1 << 16  # text body bytes split at once, rounded up to a whole line
+_SEPARATOR_OR_HASH = re.compile(b"[#%s]" % _SEPARATORS)
+_CHUNK = 1 << 16  # text body bytes split at once, rounded up to a separator
 _HEADER_INTS = {b"P1": 2, b"P4": 2, b"P2": 3, b"P5": 3}  # width, height[, maxval]
 
 
 def _parse(buf):
     """The foreground of a netpbm buffer: PBM (P1/P4) value 1, PGM (P2/P5)
-    the darker half of the range. A text body is split a chunk of lines at
-    a time, never into a list of all its lines or tokens."""
+    the darker half of the range. A text body is split a chunk at a time,
+    never into a list of all its lines or tokens."""
     words = (m for m in _LEXEME.finditer(buf) if m[1])  # header tokens
     magic = buf[:2]
     if magic not in _HEADER_INTS or next(words)[1] != magic:
@@ -115,16 +116,31 @@ def _parse(buf):
 
 
 def _body_tokens(buf, pos):
-    """The tokens of a text body from pos on, split a chunk of whole lines at
-    a time: a newline ends every token and every comment."""
+    """The tokens of a text body from pos on, split a chunk at a time."""
     return filter(None, itertools.chain.from_iterable(_split_chunks(buf, pos)))
 
 
 def _split_chunks(buf, pos):
     while pos < len(buf):
-        end = buf.find(b"\n", pos + _CHUNK) + 1 or len(buf)
+        end = _chunk_end(buf, pos, pos + _CHUNK)
         yield _COMMENT.sub(b"", buf[pos:end]).translate(_TO_SPACE).split(b" ")
         pos = end
+
+
+def _chunk_end(buf, pos, at):
+    """Where the chunk that starts at pos, outside any comment, ends: just
+    after the first separator at or past at that no comment holds, so that
+    no token or comment spans two chunks. A comment runs from '#' to the end
+    of its line, so at is inside one when its line has a '#' before it."""
+    line = max(buf.rfind(b"\n", pos, at) + 1, pos)
+    if buf.find(b"#", line, at) < 0:
+        m = _SEPARATOR_OR_HASH.search(buf, at)
+        if m is None:
+            return len(buf)
+        if m[0] != b"#":
+            return m.end()
+        at = m.start()
+    return buf.find(b"\n", at) + 1 or len(buf)
 
 
 def _raster(buf, start, size, magic):
@@ -244,10 +260,15 @@ def _bordered(img):
     return grid, np.array([dr * (w + 2) + dc for dr, dc in _RING])
 
 
-def _codes(buf, idx, ring):
-    """Ring codes (bit i set when neighbor _RING[i] is foreground) of the
-    pixels at flat index or indices idx of a bordered grid's buffer."""
-    return np.packbits(buf[idx[..., None] + ring], axis=-1, bitorder="little")[..., 0]
+_GATHER_BITS = np.uint64(0x0102040810204080)
+
+
+def _codes(bits):
+    """Ring codes (bit i set when neighbor _RING[i] is foreground) from ring
+    bits gathered as a bool array of shape (..., 8). Read as a little-endian
+    integer, each row holds neighbor i in bit 8i; the multiply moves that bit
+    to bit 56 + i, and no two partial products share a bit, so none carries."""
+    return (bits.view("<u8")[..., 0] * _GATHER_BITS) >> np.uint64(56)
 
 
 def _ring_tables():
@@ -279,18 +300,21 @@ def _zs_delete(grid, cand, ring, table):
     """One parallel Zhang-Suen subiteration over the candidate pixels (flat
     indices into the zero-bordered bool grid, all foreground). Deletes the
     deletable ones, sparing one pixel of any component that would vanish,
-    and returns the flat indices deleted."""
+    and returns the flat indices of the deleted pixels' neighbors, one row
+    per deleted pixel."""
     buf = grid.reshape(-1)
-    dele = cand[table[_codes(buf, cand, ring)]]
+    nbrs = cand[:, None] + ring
+    hit = table[_codes(buf[nbrs])]
+    dele, nbrs = cand[hit], nbrs[hit]
     if dele.size == 0:
-        return dele
+        return nbrs
     buf[dele] = False
-    kept = buf[dele[:, None] + ring].any(axis=1)
+    kept = buf[nbrs].any(axis=1)
     if not kept.all():
         # a deleted pixel kept no 8-neighbor, so its whole component may be gone
         _spare_doomed(buf, dele, ~kept, ring)
-        dele = dele[~buf[dele]]
-    return dele
+        nbrs = nbrs[~buf[dele]]
+    return nbrs
 
 
 def _spare_doomed(buf, dele, alone, ring):
@@ -338,7 +362,7 @@ def _peel_square_blocks(grid, ring):
             return
         changed = False
         for i in np.unique(tops[:, None] + corner):
-            if buf[i] and _PEEL[_codes(buf, i, ring)]:
+            if buf[i] and _PEEL[_codes(buf[i + ring])]:
                 buf[i] = False
                 changed = True
         if not changed:
@@ -365,9 +389,9 @@ def thin_to_convergence(img):
             else:
                 cand = _distinct(np.concatenate(touched), stamp)
                 cand = cand[buf[cand]]
-            gone = _zs_delete(grid, cand, ring, _ZS_TABLES[step])
-            touched = [touched[1], (gone[:, None] + ring).ravel()]
-            changed = changed or gone.size > 0
+            around = _zs_delete(grid, cand, ring, _ZS_TABLES[step])
+            touched = [touched[1], around.ravel()]
+            changed = changed or around.size > 0
         if not changed:
             break
     _peel_square_blocks(grid, ring)

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import os
 import shutil
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devoc import cli, raster, synth
+from devoc import cli, pipeline, raster, synth
 from devoc.config import (
     BadConfigValueError,
     Config,
@@ -259,6 +261,64 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert corpus in err and entry.path in err
 
+    def test_train_glyph_blanked_after_training_is_empty_error(self, workspace, tmp_path, capsys):
+        # its recorded analysis no longer matches the image, so eval analyses it
+        corpus, models = workspace
+        corpus = shutil.copytree(corpus, str(tmp_path / "corpus"))
+        entry = synth.read_manifest(corpus)[0]
+        assert entry.split == "train"
+        raster.save_pbm(os.path.join(corpus, entry.path), np.zeros((20, 20), dtype=bool))
+        assert cli.main(["--quiet", "eval", corpus, copy_models(models, tmp_path)]) == cli.EXIT_EMPTY
+        err = capsys.readouterr().err
+        assert corpus in err and entry.path in err
+
+
+def eval_outputs(corpus, models, argv=()):
+    """The bytes of report.csv and predictions.csv after `devoc eval`, and
+    its standard output."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(list(argv) + ["eval", corpus, models]) == cli.EXIT_OK
+    names = ("report.csv", "predictions.csv")
+    return [open(os.path.join(models, n), "rb").read() for n in names], out.getvalue()
+
+
+class TestTrainAnalysisRecord:
+    def test_written_beside_the_models(self, workspace):
+        corpus, models = workspace
+        train = [e.path for e in synth.read_manifest(corpus) if e.split == "train"]
+        lines = open(os.path.join(models, pipeline.TRAIN_ANALYSIS_NAME), encoding="utf-8").read().splitlines()
+        assert lines[0].startswith("DEVOC-TRAIN-ANALYSIS v1 step_tol=2 ")
+        assert lines[0].endswith(" max_spur=3")
+        assert [line.split(",")[0] for line in lines[2:]] == train
+
+    def test_eval_reports_the_same_bytes_with_and_without_it(self, workspace, tmp_path):
+        corpus, models = workspace
+        models = copy_models(models, tmp_path)
+        reused, out = eval_outputs(corpus, models)
+        n = len(synth.read_manifest(corpus))
+        n_train = sum(e.split == "train" for e in synth.read_manifest(corpus))
+        assert "reused the training analysis of %d of %d glyphs, analysed %d\n" % (n_train, n, n - n_train) in out
+        os.remove(os.path.join(models, pipeline.TRAIN_ANALYSIS_NAME))
+        fresh, out = eval_outputs(corpus, models)
+        assert "reused the training analysis of 0 of %d glyphs, analysed %d\n" % (n, n) in out
+        assert reused == fresh
+
+    @pytest.mark.parametrize("config, analysed", [("", "test"), ("step_tol = 3\n", "all")])
+    def test_eval_analyses_what_the_record_does_not_hold(self, workspace, tmp_path, monkeypatch, config, analysed):
+        # a record made under other stage-one settings is ignored
+        corpus, models = workspace
+        calls = []
+        analyze = pipeline.analyze_glyph
+
+        def counted(*args):
+            calls.append(args)
+            return analyze(*args)
+
+        monkeypatch.setattr(pipeline, "analyze_glyph", counted)
+        eval_outputs(corpus, copy_models(models, tmp_path), with_config(tmp_path, config) + ["--quiet"])
+        entries = synth.read_manifest(corpus)
+        assert len(calls) == sum(analysed in ("all", e.split) for e in entries)
+
 
 class TestPredictCommand:
     def test_output_format(self, workspace, capsys):
@@ -371,6 +431,16 @@ def _train_on_manifest(edit):
     return lambda ws, tmp: ["train", edited_corpus(ws[0], tmp, edit), str(tmp / "m")]
 
 
+def _eval_with_record(data):
+    def argv(ws, tmp):
+        models = copy_models(ws[1], tmp)
+        with open(os.path.join(models, pipeline.TRAIN_ANALYSIS_NAME), "w", encoding="utf-8") as fh:
+            fh.write(data(open(os.path.join(ws[1], pipeline.TRAIN_ANALYSIS_NAME), encoding="utf-8").read()))
+        return ["eval", ws[0], models]
+
+    return argv
+
+
 def _inspect_into_file(ws, tmp):
     (tmp / "taken").write_text("")
     return ["inspect", first_glyph(ws[0]), str(tmp / "taken")]
@@ -400,6 +470,9 @@ BAD_INPUTS = {
     "config-is-directory": lambda ws, tmp: ["--config", str(tmp), "synth", str(tmp / "o")],
     "inspect-outdir-is-file": _inspect_into_file,
     "eval-report-csv-is-directory": _eval_report_is_dir,
+    "eval-record-not-a-record": _eval_with_record(lambda t: "path,digest\n"),
+    "eval-record-feature-missing": _eval_with_record(lambda t: t.rsplit(",", 1)[0] + "\n"),
+    "eval-record-no-final-newline": _eval_with_record(lambda t: t[:-1]),
     "manifest-missing-field": _train_on_manifest(lambda t: t + "full_end/cha/0000.pbm,cha,full_end\n"),
     "manifest-field-over-128k": _train_on_manifest(lambda t: t + "x" * (128 * 1024 + 1) + ",cha,full_end,train\n"),
     "manifest-unknown-split": _train_on_manifest(
@@ -428,6 +501,11 @@ class TestFailureTable:
         "config": [b""] + [key.encode() + b" = " for key in dataclasses.asdict(Config())],
         "manifest": [b"", b"path,class_label,group,split\n"],
         "modelset": [b"", b"DEVOC-MODELSET v1\n", b"DEVOC-MODELSET v1\nfull_end "],
+        "record": [
+            b"",
+            pipeline._record_header(Config()).encode() + b"\n",
+            ("%s\n%s\n" % (pipeline._record_header(Config()), pipeline._RECORD_COLUMNS)).encode(),
+        ],
     }
 
     @settings(max_examples=100, deadline=None)
@@ -445,10 +523,14 @@ class TestFailureTable:
             elif target == "manifest":
                 argv = ["train", tmp, os.path.join(tmp, "m")]
                 path = os.path.join(tmp, "manifest.csv")
-            else:
+            elif target == "modelset":
                 broken = shutil.copytree(models, os.path.join(tmp, "models"))
                 argv = ["predict", first_glyph(corpus), broken]
                 path = os.path.join(broken, "modelset.txt")
+            else:
+                broken = shutil.copytree(models, os.path.join(tmp, "models"))
+                argv = ["eval", corpus, broken]
+                path = os.path.join(broken, pipeline.TRAIN_ANALYSIS_NAME)
             with open(path, "wb") as fh:
                 fh.write(data)
             assert cli.main(["--quiet"] + argv) in (0, 1, 2, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -93,7 +94,9 @@ class TestAnalyze:
         # Skeleton, detected group and raw features of every glyph of a small
         # corpus, at 1 px and at a thick pen (2x replication plus one 3x3
         # dilation). All integer, so the hash does not depend on the BLAS. A
-        # change that means to alter stage one updates the constant and says why.
+        # change that means to alter stage one updates the constant, says why
+        # and bumps pipeline.TRAIN_ANALYSIS_VERSION: a model directory's
+        # train_analysis.csv holds stage-one results of the code that wrote it.
         digest = hashlib.sha256()
         for s in synth.generate_corpus(templates, 10, 2, 0):
             thick = raster.thicken(np.repeat(np.repeat(s.image, 2, axis=0), 2, axis=1))
@@ -237,6 +240,91 @@ class TestModelSetPersistence:
         (tmp_path / "modelset.txt").write_text("DEVOC-MODELSET v1\nfull_end\n")
         with pytest.raises(MalformedModelSetError):
             pipeline.load_modelset(str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def recorded(templates):
+    """A model set plus the stage-one record of its train glyphs."""
+    samples = tiny_corpus(templates, per_class=4, amplitude=2)
+    analysed = {}
+    modelset, _, _ = pipeline.train_all(samples, Config(), analysed)
+    return samples, modelset, analysed
+
+
+class TestTrainAnalysisRecord:
+    def test_holds_each_train_glyphs_analysis(self, recorded):
+        samples, _, analysed = recorded
+        train = [s for s in samples if s.split == "train"]
+        assert list(analysed) == [s.path for s in train]
+        for s in train:
+            a = pipeline.analyze_glyph(s.image)
+            rec = analysed[s.path]
+            assert rec.group == a.group and np.array_equal(rec.raw_features, a.raw_features)
+
+    def test_round_trip_is_exact(self, recorded, tmp_path):
+        _, _, analysed = recorded
+        pipeline.save_train_analysis(str(tmp_path), analysed, Config())
+        back = pipeline.load_train_analysis(str(tmp_path), Config())
+        assert list(back) == list(analysed)
+        for path, rec in analysed.items():
+            got = back[path]
+            assert (got.digest, got.group) == (rec.digest, rec.group)
+            assert got.raw_features.dtype == rec.raw_features.dtype
+            assert np.array_equal(got.raw_features, rec.raw_features)
+
+    def test_evaluate_reuses_exactly_the_matching_glyphs(self, recorded):
+        samples, modelset, analysed = recorded
+        fresh = pipeline.evaluate(samples, modelset)
+        assert fresh.reused == 0
+        reused = pipeline.evaluate(samples, modelset, Config(), analysed)
+        assert reused.reused == len(analysed) and reused.records == fresh.records
+        # a train glyph whose image changed after training is analysed again
+        i = next(i for i, s in enumerate(samples) if s.split == "train")
+        moved = list(samples)
+        moved[i] = dataclasses.replace(samples[i], image=np.roll(samples[i].image, 1, axis=1))
+        assert pipeline.evaluate(moved, modelset, Config(), analysed).reused == len(analysed) - 1
+
+    @pytest.mark.parametrize("cfg", [Config(step_tol=3), Config(full_span=0.8), Config(max_spur=2)])
+    def test_other_stage_one_settings_ignore_it(self, recorded, tmp_path, cfg):
+        pipeline.save_train_analysis(str(tmp_path), recorded[2], Config())
+        assert pipeline.load_train_analysis(str(tmp_path), cfg) == {}
+
+    def test_stage_two_settings_keep_it(self, recorded, tmp_path):
+        pipeline.save_train_analysis(str(tmp_path), recorded[2], Config())
+        cfg = Config(feature_cap=2.0, n_hidden=7, seed=3)
+        assert len(pipeline.load_train_analysis(str(tmp_path), cfg)) == len(recorded[2])
+
+    def test_other_format_version_is_ignored(self, recorded, tmp_path):
+        pipeline.save_train_analysis(str(tmp_path), recorded[2], Config())
+        path = tmp_path / pipeline.TRAIN_ANALYSIS_NAME
+        path.write_text(path.read_text().replace(" v1 ", " v0 ", 1))
+        assert pipeline.load_train_analysis(str(tmp_path), Config()) == {}
+
+    def test_missing_is_empty(self, tmp_path):
+        assert pipeline.load_train_analysis(str(tmp_path), Config()) == {}
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: "",
+            lambda t: "WRONG v1\n" + t,
+            lambda t: t.replace(",full_", ",fill_", 1),
+            lambda t: t.replace(",", ",,", 3),
+            lambda t: t[:-1] + "\r\n",
+        ],
+        ids=["empty", "bad-magic", "bad-group", "bad-column-line", "cr-in-row"],
+    )
+    def test_unparsable_is_malformed(self, recorded, tmp_path, edit):
+        pipeline.save_train_analysis(str(tmp_path), recorded[2], Config())
+        path = tmp_path / pipeline.TRAIN_ANALYSIS_NAME
+        path.write_text(edit(path.read_text()), newline="")
+        with pytest.raises(MalformedModelSetError):
+            pipeline.load_train_analysis(str(tmp_path), Config())
+
+    def test_not_utf8_is_malformed(self, tmp_path):
+        (tmp_path / pipeline.TRAIN_ANALYSIS_NAME).write_bytes(b"DEVOC-TRAIN-ANALYSIS \xff\n")
+        with pytest.raises(MalformedModelSetError, match="not UTF-8"):
+            pipeline.load_train_analysis(str(tmp_path), Config())
 
 
 class TestLoadCorpus:

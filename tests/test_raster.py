@@ -210,9 +210,14 @@ class TestP2MatchesTokenLoop:
     def test_chunk_cuts_split_no_token_or_comment(self, monkeypatch, chunk):
         p2 = b"P2\n# c\n3 2\n255\n0 12#7 7\n 255\t\r\n#x\n100\n 200 3\n"
         p1 = b"P1\n3 2\n1 0#1 1\n1\n# 0\n0 01\n"
+        # one-line bodies: a comment can only end them
+        p2_line = b"P2\n3 2\n255\n0 12\t255  100\r200 3#7 7 0"
+        p1_line = b"P1\n3 2\n1 0\t1  0 0\r1 # 0 0 1"
         monkeypatch.setattr(raster, "_CHUNK", chunk)
-        assert _outcome(raster._parse, p2) == _outcome(reference_parse_p2, p2) == [[1, 1, 0], [1, 0, 1]]
-        assert _outcome(raster._parse, p1) == [[1, 0, 1], [0, 0, 1]]
+        for p2 in (p2, p2_line):
+            assert _outcome(raster._parse, p2) == _outcome(reference_parse_p2, p2) == [[1, 1, 0], [1, 0, 1]]
+        for p1 in (p1, p1_line):
+            assert _outcome(raster._parse, p1) == [[1, 0, 1], [0, 0, 1]]
 
     def test_wrapped_file(self):
         vals = np.random.default_rng(3).integers(0, 256, size=(37, 41))
@@ -251,6 +256,12 @@ class TestNetpbmMemory:
     def test_p2_one_value_per_line_in_bounded_memory(self):
         vals = np.random.default_rng(5).integers(0, 256, size=(1000, 1000))
         out, peak = _traced(b"P2\n1000 1000\n255\n" + "\n".join(map(str, vals.ravel().tolist())).encode() + b"\n")
+        assert np.array_equal(out, vals <= 127.5)
+        assert peak <= 10 << 20
+
+    def test_p2_on_one_line_in_bounded_memory(self):
+        vals = np.random.default_rng(5).integers(0, 256, size=(1000, 1000))
+        out, peak = _traced(b"P2\n1000 1000\n255\n" + " ".join(map(str, vals.ravel().tolist())).encode() + b"\n")
         assert np.array_equal(out, vals <= 127.5)
         assert peak <= 10 << 20
 
