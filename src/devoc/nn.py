@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .raster import read_utf8, write_utf8
+from .raster import check_text_fields, read_utf8, write_utf8
 
 MODEL_MAGIC = "DEVOC-MLP"
 MODEL_VERSION = 1
@@ -346,18 +346,10 @@ def train(net, x, y, cfg):
 # Model files
 
 
-def check_labels(labels):
-    """Raise ValueError for a label the ','-joined labels line cannot hold."""
-    for label in labels:
-        # load_model splits the file with str.splitlines, which breaks on more than CR and LF
-        if "," in label or label.splitlines() not in ([], [label]):
-            raise ValueError("label %r holds a comma or a line break" % label)
-
-
 def save_model(path, net, labels):
     """Line-oriented text model file; 17 significant digits round-trip
     float64 parameters exactly. Checks the labels before any write."""
-    check_labels(labels)
+    check_text_fields(labels, path)
     lines = [
         "%s v%d" % (MODEL_MAGIC, MODEL_VERSION),
         "dims %d %d %d" % (net.n_in, net.n_hidden, net.n_out),

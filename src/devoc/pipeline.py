@@ -339,8 +339,8 @@ def predictions_csv(report):
 def save_modelset(dirpath, modelset):
     """One model file per group, <group>.mlp, plus a modelset.txt manifest.
     Every label is checked before the first write."""
-    for _, labels in modelset.models.values():
-        nn.check_labels(labels)
+    for key, (_, labels) in modelset.models.items():
+        raster.check_text_fields(labels, os.path.join(dirpath, "%s.mlp" % key))
     os.makedirs(dirpath, exist_ok=True)
     lines = [MODELSET_MAGIC]
     for key in sorted(modelset.models):

@@ -58,20 +58,22 @@ class BoundingBox:
 # One rule reads every text part of a netpbm file, the header and the P1/P2
 # bodies: only _SEPARATORS separate tokens, and a _COMMENT runs from '#' to
 # the end of its line. A header token also takes at most one whitespace byte
-# after it, so the last one ends where a P4/P5 raster starts.
+# after it, so the last one ends where a P4/P5 raster starts. A text body
+# loses its comments in one pass; P1 then keeps its non-separator bytes, and
+# P2 is split _CHUNK bytes at a time, each cut just after a separator.
 _SEPARATORS = b" \t\r\n"
 _COMMENT = re.compile(rb"#[^\n]*")
 _LEXEME = re.compile(b"%s|([^#%s]+)[%s]?" % (_COMMENT.pattern, _SEPARATORS, _SEPARATORS))
+_SEPARATOR = re.compile(b"[%s]" % _SEPARATORS)
 _TO_SPACE = bytes.maketrans(_SEPARATORS, b" " * len(_SEPARATORS))
-_SEPARATOR_OR_HASH = re.compile(b"[#%s]" % _SEPARATORS)
-_CHUNK = 1 << 16  # text body bytes split at once, rounded up to a separator
+_CHUNK = 1 << 16  # P2 body bytes split at once, rounded up to a separator
 _HEADER_INTS = {b"P1": 2, b"P4": 2, b"P2": 3, b"P5": 3}  # width, height[, maxval]
 
 
 def _parse(buf):
     """The foreground of a netpbm buffer: PBM (P1/P4) value 1, PGM (P2/P5)
-    the darker half of the range. A text body is split a chunk at a time,
-    never into a list of all its lines or tokens."""
+    the darker half of the range. A text body is never split into a list of
+    all its lines or tokens."""
     words = (m for m in _LEXEME.finditer(buf) if m[1])  # header tokens
     magic = buf[:2]
     if magic not in _HEADER_INTS or next(words)[1] != magic:
@@ -91,14 +93,6 @@ def _parse(buf):
     if not 1 <= maxval <= 65535:
         raise MalformedHeaderError("bad maxval %d" % maxval)
     n = width * height
-    if magic == b"P1":
-        digits = b"".join(_body_tokens(buf, word.end()))
-        bad = digits.translate(None, b"01")
-        if bad:
-            raise MalformedHeaderError("bad P1 pixel byte %r" % bad[:1])
-        if len(digits) != n:
-            raise DimensionMismatchError("P1 raster has %d pixels, header says %d" % (len(digits), n))
-        return (np.frombuffer(digits, dtype=np.uint8) == ord("1")).reshape(height, width)
     if magic == b"P4":  # rows padded to whole bytes
         row_bytes = (width + 7) // 8
         packed = _raster(buf, word.end(), row_bytes * height, magic).reshape(height, row_bytes)
@@ -108,39 +102,32 @@ def _parse(buf):
         itemsize = 1 if maxval < 256 else 2
         gray = _raster(buf, word.end(), n * itemsize, magic).view(np.uint8 if itemsize == 1 else ">u2")
         return ink(gray.reshape(height, width))
-    values = map(int, itertools.islice(_body_tokens(buf, word.end()), n))
+    body = _COMMENT.sub(b"", buf[word.end() :])
+    if magic == b"P1":
+        digits = body.translate(None, _SEPARATORS)
+        bad = digits.translate(None, b"01")
+        if bad:
+            raise MalformedHeaderError("bad P1 pixel byte %r" % bad[:1])
+        if len(digits) != n:
+            raise DimensionMismatchError("P1 raster has %d pixels, header says %d" % (len(digits), n))
+        return (np.frombuffer(digits, dtype=np.uint8) == ord("1")).reshape(height, width)
+    tokens = filter(None, itertools.chain.from_iterable(_split_chunks(body)))
+    values = map(int, itertools.islice(tokens, n))
     try:  # a token int() refuses, or too few tokens to reshape
         return np.fromiter(map(ink, values), dtype=bool).reshape(height, width)
     except ValueError:
         raise DimensionMismatchError("P2 raster truncated")
 
 
-def _body_tokens(buf, pos):
-    """The tokens of a text body from pos on, split a chunk at a time."""
-    return filter(None, itertools.chain.from_iterable(_split_chunks(buf, pos)))
-
-
-def _split_chunks(buf, pos):
-    while pos < len(buf):
-        end = _chunk_end(buf, pos, pos + _CHUNK)
-        yield _COMMENT.sub(b"", buf[pos:end]).translate(_TO_SPACE).split(b" ")
+def _split_chunks(body):
+    """The space-split chunks of a comment-free text body, each cut just
+    after the first separator _CHUNK or more bytes past its start."""
+    pos = 0
+    while pos < len(body):
+        cut = _SEPARATOR.search(body, pos + _CHUNK)
+        end = cut.end() if cut else len(body)
+        yield body[pos:end].translate(_TO_SPACE).split(b" ")
         pos = end
-
-
-def _chunk_end(buf, pos, at):
-    """Where the chunk that starts at pos, outside any comment, ends: just
-    after the first separator at or past at that no comment holds, so that
-    no token or comment spans two chunks. A comment runs from '#' to the end
-    of its line, so at is inside one when its line has a '#' before it."""
-    line = max(buf.rfind(b"\n", pos, at) + 1, pos)
-    if buf.find(b"#", line, at) < 0:
-        m = _SEPARATOR_OR_HASH.search(buf, at)
-        if m is None:
-            return len(buf)
-        if m[0] != b"#":
-            return m.end()
-        at = m.start()
-    return buf.find(b"\n", at) + 1 or len(buf)
 
 
 def _raster(buf, start, size, magic):
@@ -196,6 +183,16 @@ def read_utf8(path, error):
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error("%s is not UTF-8 text: %s" % (path, exc))
+
+
+def check_text_fields(fields, where):
+    """Raise ValueError naming where for a field devoc's text files cannot
+    hold: they join fields with unquoted commas and read lines back with
+    str.splitlines, so a field holds no comma, no double quote and none of
+    the line breaks splitlines knows (CR, LF, U+2028, ...)."""
+    for f in fields:
+        if "," in f or '"' in f or f.splitlines() not in ([], [f]):
+            raise ValueError("%s: field %r holds a comma, a double quote or a line break" % (where, f))
 
 
 # ---------------------------------------------------------------------------

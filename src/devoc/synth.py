@@ -221,16 +221,6 @@ def generate_corpus(templates, per_class, amplitude=0, seed=0):
     return samples
 
 
-# every CSV devoc writes joins its fields unquoted, so no field may hold these
-_CSV_UNSAFE = ',"\r\n'
-
-
-def _check_csv_fields(fields, where):
-    for f in fields:
-        if any(ch in f for ch in _CSV_UNSAFE):
-            raise ValueError("%s: field %r holds a comma, quote, CR or LF" % (where, f))
-
-
 def write_corpus(samples, root):
     """Layout: <root>/<Sample.path> + manifest.csv with columns
     path,class_label,group,split. A field the manifest cannot hold raises
@@ -238,7 +228,7 @@ def write_corpus(samples, root):
     manifest = os.path.join(root, MANIFEST_NAME)
     rows = [(s.path, s.class_label, s.group, s.split) for s in samples]
     for row in rows:
-        _check_csv_fields(row, manifest)
+        raster.check_text_fields(row, manifest)
     os.makedirs(root, exist_ok=True)
     for s in samples:
         full = os.path.join(root, s.path)
@@ -273,7 +263,7 @@ def read_manifest(root):
             where = "%s:%d" % (manifest, reader.line_num)
             if not all(row[f] for f in fields):
                 raise ValueError("%s: empty or missing field" % where)
-            _check_csv_fields((row[f] for f in fields), where)
+            raster.check_text_fields((row[f] for f in fields), where)
             if row["split"] not in ("train", "test"):
                 raise ValueError("%s: split %r is not train or test" % (where, row["split"]))
             entries.append(CorpusEntry(*(row[f] for f in fields)))

@@ -208,13 +208,20 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: %s:2: " % os.path.join(corpus, "manifest.csv"))
         assert not models.exists()
 
-    def test_label_no_model_file_can_hold_writes_nothing(self, workspace, tmp_path, capsys):
-        # read_manifest accepts a label ending in U+2028, but the labels line
-        # of a model file cannot hold it; bha's group is the last one saved
+    def test_label_no_model_file_can_hold_writes_nothing(self, workspace, tmp_path, monkeypatch, capsys):
+        # the labels line of a model file cannot hold a label ending in
+        # U+2028, so read_manifest refuses it before any glyph is analysed
         corpus = edited_corpus(workspace[0], tmp_path, lambda t: t.replace(",bha,", ",bha\u2028,"))
+        manifest = os.path.join(corpus, "manifest.csv")
+        line = next(i for i, l in enumerate(open(manifest, encoding="utf-8"), 1) if ",bha\u2028," in l)
+        calls = []
+        analyze = pipeline.analyze_glyph
+        monkeypatch.setattr(pipeline, "analyze_glyph", lambda *a: calls.append(a) or analyze(*a))
         models = tmp_path / "m"
         assert cli.main(["--quiet", "train", corpus, str(models)]) == cli.EXIT_IO
-        assert "line break" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s:%d: " % (manifest, line)) and "line break" in err
+        assert calls == []
         assert not models.exists()
 
     def test_blank_corpus_glyph_is_empty_error(self, tmp_path, capsys):

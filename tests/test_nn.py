@@ -285,10 +285,10 @@ class TestModelFile:
         back, _ = nn.load_model(path)
         assert np.array_equal(net.w1, back.w1)
 
-    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\u2028b", "a\x85"])
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\nb", "a\rb", "a\u2028b", "a\x85"])
     def test_label_that_breaks_the_labels_line_is_refused(self, tmp_path, label):
         path = tmp_path / "m.mlp"
-        with pytest.raises(ValueError, match="holds a comma or a line break"):
+        with pytest.raises(ValueError, match="holds a comma, a double quote or a line break"):
             nn.save_model(str(path), nn.init_mlp(4, 2, seed=0), [label, "y"])
         assert not path.exists()
 

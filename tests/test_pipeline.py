@@ -94,9 +94,10 @@ class TestAnalyze:
         # Skeleton, detected group and raw features of every glyph of a small
         # corpus, at 1 px and at a thick pen (2x replication plus one 3x3
         # dilation). All integer, so the hash does not depend on the BLAS. A
-        # change that means to alter stage one updates the constant, says why
-        # and bumps pipeline.TRAIN_ANALYSIS_VERSION: a model directory's
-        # train_analysis.csv holds stage-one results of the code that wrote it.
+        # change that means to alter stage one updates the hash, says why and
+        # bumps pipeline.TRAIN_ANALYSIS_VERSION pinned beside it: a model
+        # directory's train_analysis.csv holds stage-one results of the code
+        # that wrote it.
         digest = hashlib.sha256()
         for s in synth.generate_corpus(templates, 10, 2, 0):
             thick = raster.thicken(np.repeat(np.repeat(s.image, 2, axis=0), 2, axis=1))
@@ -105,7 +106,10 @@ class TestAnalyze:
                 digest.update(np.packbits(a.skeleton).tobytes())
                 digest.update(structural.group_name(a.group).encode())
                 digest.update(a.raw_features.astype("<i8").tobytes())
-        assert digest.hexdigest() == "dbecaf8abc13253cc1849e9550835ff4161062d227a849d24026e87888156304"
+        assert (pipeline.TRAIN_ANALYSIS_VERSION, digest.hexdigest()) == (
+            1,
+            "dbecaf8abc13253cc1849e9550835ff4161062d227a849d24026e87888156304",
+        )
 
 
 class TestRecognize:

@@ -253,16 +253,14 @@ class TestNetpbmMemory:
         assert out is DimensionMismatchError
         assert peak < 1 << 20
 
-    def test_p2_one_value_per_line_in_bounded_memory(self):
-        vals = np.random.default_rng(5).integers(0, 256, size=(1000, 1000))
-        out, peak = _traced(b"P2\n1000 1000\n255\n" + "\n".join(map(str, vals.ravel().tolist())).encode() + b"\n")
-        assert np.array_equal(out, vals <= 127.5)
-        assert peak <= 10 << 20
-
-    def test_p2_on_one_line_in_bounded_memory(self):
-        vals = np.random.default_rng(5).integers(0, 256, size=(1000, 1000))
-        out, peak = _traced(b"P2\n1000 1000\n255\n" + " ".join(map(str, vals.ravel().tolist())).encode() + b"\n")
-        assert np.array_equal(out, vals <= 127.5)
+    @pytest.mark.parametrize("sep", [b" ", b"\n"], ids=["spaced", "one-per-line"])
+    @pytest.mark.parametrize("magic, maxval", [(b"P1", 2), (b"P2", 256)], ids=["P1", "P2"])
+    def test_text_body_in_bounded_memory(self, magic, maxval, sep):
+        # one value per token, never held as a list of all of them
+        vals = np.random.default_rng(5).integers(0, maxval, size=(1000, 1000))
+        head = b"P1\n1000 1000\n" if magic == b"P1" else b"P2\n1000 1000\n255\n"
+        out, peak = _traced(head + sep.join(b"%d" % v for v in vals.ravel().tolist()) + b"\n")
+        assert np.array_equal(out, vals == 1 if magic == b"P1" else vals <= 127.5)
         assert peak <= 10 << 20
 
 

@@ -140,11 +140,11 @@ class TestCorpus:
             img = raster.load_image(str(tmp_path / "corpus" / e.path))
             assert np.array_equal(img, s.image)
 
-    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb"])
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb", "a\u2028b"])
     def test_write_corpus_refuses_a_field_the_manifest_cannot_hold(self, templates, tmp_path, label):
         tpl = dataclasses.replace(templates[0], class_label=label)
         root = tmp_path / "corpus"
-        with pytest.raises(ValueError, match="holds a comma, quote, CR or LF"):
+        with pytest.raises(ValueError, match="holds a comma, a double quote or a line break"):
             synth.write_corpus(synth.generate_corpus([tpl] + list(templates[1:3]), 2), str(root))
         assert not root.exists()
 
@@ -164,8 +164,8 @@ class TestCorpus:
             ("b.pbm,,full_end,test", "empty or missing field"),
             ("b.pbm,cha,full_end,bogus", "split 'bogus' is not train or test"),
             ("x" * (128 * 1024 + 1) + ",cha,full_end,train", "field larger than field limit"),
-            ('b.pbm,"a,b",full_end,test', "field 'a,b' holds a comma, quote, CR or LF"),
-            ('b.pbm,a"b,full_end,test', "field 'a\"b' holds a comma, quote, CR or LF"),
+            ('b.pbm,"a,b",full_end,test', "field 'a,b' holds a comma, a double quote or a line break"),
+            ('b.pbm,a"b,full_end,test', "field 'a\"b' holds a comma, a double quote or a line break"),
         ],
         ids=["missing-field", "empty-field", "bad-split", "field-over-128k", "quoted-comma", "quote"],
     )
