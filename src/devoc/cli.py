@@ -85,7 +85,7 @@ def _cmd_inspect(args, cfg, say):
 def _cmd_synth(args, cfg, say):
     per_class = args.per_class if args.per_class is not None else cfg.per_class
     amplitude = args.amplitude if args.amplitude is not None else cfg.amplitude
-    samples = synth.generate_corpus(synth.default_templates(), per_class, amplitude, cfg.seed)
+    samples = synth.plan_corpus(synth.default_templates(), per_class, amplitude, cfg.seed)
     synth.write_corpus(samples, args.outdir)
     say("wrote %d samples to %s" % (len(samples), args.outdir))
 

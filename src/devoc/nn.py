@@ -125,12 +125,9 @@ def init_mlp(n_hidden, n_out, seed, n_in=32):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of -|z| never overflows: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(z):
@@ -185,9 +182,12 @@ def _check_batch(net, x, y):
     return x, y
 
 
-def loss_and_gradient(net, x, y):
-    """Mean cross-entropy and its exact gradient, flattened (W1, b1, W2, b2)."""
-    x, y = _check_batch(net, x, y)
+def loss_and_gradient(net, x, y, *, checked=False):
+    """Mean cross-entropy and its exact gradient, flattened (W1, b1, W2, b2).
+    checked=True skips the batch check: the trainers check x and y once per
+    run and pass them back here unchanged."""
+    if not checked:
+        x, y = _check_batch(net, x, y)
     n = x.shape[0]
     hidden, logits = _forward_batch(net, x)
     # stable log-softmax
@@ -221,7 +221,7 @@ def train_momentum(net, x, y, cfg):
     x, y = _check_batch(net, x, y)
     theta = flatten_params(net)
     shape = (net.n_in, net.n_hidden, net.n_out)
-    loss, grad = loss_and_gradient(net, x, y)
+    loss, grad = loss_and_gradient(net, x, y, checked=True)
     history = [loss]
     velocity = np.zeros_like(theta)
     stop = StopReason.MAX_EPOCHS
@@ -235,7 +235,7 @@ def train_momentum(net, x, y, cfg):
         velocity = cfg.momentum * velocity - cfg.learning_rate * grad
         theta = theta + velocity
         epochs += 1
-        new_loss, grad = loss_and_gradient(unflatten_params(theta, *shape), x, y)
+        new_loss, grad = loss_and_gradient(unflatten_params(theta, *shape), x, y, checked=True)
         gnorm = float(np.linalg.norm(grad))
         flat = flat + 1 if abs(new_loss - loss) < _FLAT_TOL else 0
         loss = new_loss
@@ -259,7 +259,7 @@ def train_scg(net, x, y, cfg):
     shape = (net.n_in, net.n_hidden, net.n_out)
 
     def evaluate(theta):
-        return loss_and_gradient(unflatten_params(theta, *shape), x, y)
+        return loss_and_gradient(unflatten_params(theta, *shape), x, y, checked=True)
 
     sigma0 = 1e-4
     lamb, lamb_bar = 1e-6, 0.0

@@ -9,7 +9,6 @@ the reported numbers are what a user of the whole system experiences.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import re
@@ -118,37 +117,30 @@ def recognize(img, modelset, cfg=None):
 
 @dataclass(frozen=True)
 class CorpusSample:
+    """A manifest row of a corpus on disk. Its image is read from
+    <root>/<path> on every access and never kept."""
+
+    root: str
     path: str
-    image: np.ndarray
     class_label: str
     group: str
     split: str
 
+    @property
+    def image(self):
+        return raster.load_image(os.path.join(self.root, self.path))
+
 
 def load_corpus(root):
-    """Read manifest.csv and every referenced PBM/PGM."""
-    entries = synth.read_manifest(root)
-    samples = []
-    for e in entries:
-        img = raster.load_image(os.path.join(root, e.path))
-        samples.append(CorpusSample(e.path, img, e.class_label, e.group, e.split))
-    return samples
+    """The samples of <root>/manifest.csv; no image is read here."""
+    return [CorpusSample(root, e.path, e.class_label, e.group, e.split) for e in synth.read_manifest(root)]
 
 
 def corpus_from_samples(samples):
-    """Adapt in-memory synth samples to the corpus sample shape."""
-    return [
-        CorpusSample(s.path, s.image, s.class_label, s.group, s.split) for s in samples
-    ]
-
-
-@contextlib.contextmanager
-def _naming(sample):
-    """Prefix an EmptyImageError with the corpus path of the blank glyph."""
-    try:
-        yield
-    except raster.EmptyImageError as exc:
-        raise raster.EmptyImageError("%s: %s" % (sample.path, exc)) from exc
+    """In-memory synth samples as a corpus: they already carry the five
+    fields train_all and evaluate read (path, image, class_label, group,
+    split)."""
+    return list(samples)
 
 
 def _check_corpus(samples):
@@ -175,18 +167,17 @@ def train_all(samples, cfg=None, analysed=None):
     is part of the system under test), train one network per group.
     Returns (GroupModelSet, {group: TrainReport}, routing_log). A dict passed
     as analysed receives path -> RecordedAnalysis for every train glyph, the
-    record save_train_analysis writes."""
+    record save_train_analysis writes. Only train-split images are read, a
+    batch at a time (synth.with_images)."""
     cfg = cfg or Config()
     _check_corpus(samples)
     by_group = {}
     routing_log = []
-    for s in samples:
-        if s.split != "train":
-            continue
-        with _naming(s):
-            analysis = analyze_glyph(s.image, cfg)
+    for s, img in synth.with_images([s for s in samples if s.split == "train"]):
+        with synth.naming(s.path):
+            analysis = analyze_glyph(img, cfg)
         if analysed is not None:
-            analysed[s.path] = RecordedAnalysis(_digest(s.image), analysis.group, analysis.raw_features)
+            analysed[s.path] = RecordedAnalysis(_digest(img), analysis.group, analysis.raw_features)
         key = structural.group_name(analysis.group)
         if key != s.group:
             routing_log.append((s.path, s.group, key))
@@ -256,19 +247,20 @@ def evaluate(samples, modelset, cfg=None, analysed=None):
     predicted label equals the manifest label (misrouting counts as wrong).
     A sample whose path and image digest match an entry of analysed (from
     load_train_analysis) is classified from that recorded stage-one result
-    instead of being analysed again."""
+    instead of being analysed again. Images are read a batch at a time
+    (synth.with_images)."""
     cfg = cfg or Config()
     analysed = analysed or {}
     records = []
     reused = 0
-    for s in samples:
+    for s, img in synth.with_images(samples):
         known = analysed.get(s.path)
-        if known is not None and known.digest == _digest(s.image):
+        if known is not None and known.digest == _digest(img):
             pred = classify(known.group, known.raw_features, modelset, cfg)
             reused += 1
         else:
-            with _naming(s):
-                pred = recognize(s.image, modelset, cfg)
+            with synth.naming(s.path):
+                pred = recognize(img, modelset, cfg)
         records.append(
             SampleRecord(
                 s.path,

@@ -8,6 +8,7 @@ groups that carry the reported results, three character classes each.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -20,6 +21,7 @@ from . import raster
 from .structural import ShirorekhaKind, SpineKind, StructuralClass, group_name
 
 CANVAS = 100
+BATCH = 64  # corpus images that with_images holds at once
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,12 @@ class Sample:
 
     @property
     def path(self):
-        """Corpus-relative file path: <group>/<class_label>/<index:04d>.pbm."""
-        return "%s/%s/%04d.pbm" % (self.group, self.class_label, self.index)
+        return _path(self.group, self.class_label, self.index)
+
+
+def _path(group, class_label, index):
+    """Corpus-relative file path: <group>/<class_label>/<index:04d>.pbm."""
+    return "%s/%s/%04d.pbm" % (group, class_label, index)
 
 
 def mix_seed(*parts):
@@ -203,37 +209,91 @@ def split_of(index):
     return "train" if index % 10 < 7 else "test"
 
 
-def generate_corpus(templates, per_class, amplitude=0, seed=0):
-    """per_class jittered renderings per template; pure function of its
-    arguments (per-sample seeds derive from (seed, template id, index))."""
+@dataclass(frozen=True)
+class PlannedSample:
+    """A corpus glyph not yet rendered: its image renders on every access
+    and is never kept."""
+
+    template: GlyphTemplate
+    jitter: JitterSpec
+    split: str
+    index: int
+
+    @property
+    def class_label(self):
+        return self.template.class_label
+
+    @property
+    def group(self):
+        return group_name(self.template.truth)
+
+    @property
+    def path(self):
+        return _path(self.group, self.class_label, self.index)
+
+    @property
+    def image(self):
+        return render(self.template, self.jitter)
+
+
+def plan_corpus(templates, per_class, amplitude=0, seed=0):
+    """per_class jittered samples per template, unrendered; per-sample seeds
+    derive from (seed, template id, index)."""
     if per_class < 1:
         raise ValueError("per_class must be >= 1, got %d" % per_class)
     if not 0 <= amplitude <= 3:
         raise ValueError("amplitude must be in 0..3, got %d" % amplitude)
-    samples = []
-    for tpl in templates:
-        group = group_name(tpl.truth)
-        for i in range(per_class):
-            jitter = JitterSpec(amplitude, mix_seed(seed, tpl.id, i))
-            samples.append(
-                Sample(render(tpl, jitter), tpl.class_label, group, split_of(i), tpl.id, i)
-            )
-    return samples
+    return [
+        PlannedSample(tpl, JitterSpec(amplitude, mix_seed(seed, tpl.id, i)), split_of(i), i)
+        for tpl in templates
+        for i in range(per_class)
+    ]
+
+
+def generate_corpus(templates, per_class, amplitude=0, seed=0):
+    """plan_corpus's samples, rendered; a pure function of its arguments."""
+    return [
+        Sample(p.image, p.class_label, p.group, p.split, p.template.id, p.index)
+        for p in plan_corpus(templates, per_class, amplitude, seed)
+    ]
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Prefix a RasterError raised in the block with a corpus glyph's path."""
+    try:
+        yield
+    except raster.RasterError as exc:
+        raise type(exc)("%s: %s" % (path, exc)) from exc
+
+
+def with_images(samples):
+    """(sample, image) for each of samples, in order. The images are fetched
+    BATCH at a time, each once, and a RasterError raised while fetching one
+    names its path."""
+    for start in range(0, len(samples), BATCH):
+        chunk = samples[start : start + BATCH]
+        images = []
+        for s in chunk:
+            with naming(s.path):
+                images.append(s.image)
+        yield from zip(chunk, images)
 
 
 def write_corpus(samples, root):
     """Layout: <root>/<Sample.path> + manifest.csv with columns
     path,class_label,group,split. A field the manifest cannot hold raises
-    ValueError before anything is written."""
+    ValueError before anything is written. Takes eager or planned samples;
+    images are read through with_images."""
     manifest = os.path.join(root, MANIFEST_NAME)
     rows = [(s.path, s.class_label, s.group, s.split) for s in samples]
     for row in rows:
         raster.check_text_fields(row, manifest)
     os.makedirs(root, exist_ok=True)
-    for s in samples:
+    for s, img in with_images(samples):
         full = os.path.join(root, s.path)
         os.makedirs(os.path.dirname(full), exist_ok=True)
-        raster.save_pbm(full, s.image)
+        raster.save_pbm(full, img)
     lines = ["path,class_label,group,split"] + [",".join(row) for row in rows]
     raster.write_utf8(manifest, "\n".join(lines) + "\n")
 

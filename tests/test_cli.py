@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ def edited_corpus(corpus, tmp_path, edit):
     manifest = tmp_path / "corpus" / "manifest.csv"
     manifest.write_text(edit(manifest.read_text(encoding="utf-8")), encoding="utf-8")
     return corpus
+
+
+def truncate(path, keep=20):
+    """Cut a corpus glyph file to its first keep bytes."""
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:keep])
+
+
+def tree(root):
+    """Corpus-relative path -> bytes of every file under root."""
+    return {
+        os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+        for d, _, files in os.walk(root)
+        for f in files
+    }
 
 
 class TestConfigFile:
@@ -149,6 +165,13 @@ class TestSynthCommand:
         rel = synth.read_manifest(a)[0].path
         assert open(os.path.join(a, rel), "rb").read() == open(os.path.join(b, rel), "rb").read()
 
+    def test_writes_what_write_corpus_writes_for_the_rendered_samples(self, tmp_path):
+        eager = str(tmp_path / "eager")
+        synth.write_corpus(synth.generate_corpus(synth.default_templates(), 4, 2, 7), eager)
+        lazy = str(tmp_path / "lazy")
+        assert cli.main(["--quiet", "--seed", "7", "synth", lazy, "--per-class", "4", "--amplitude", "2"]) == 0
+        assert tree(lazy) == tree(eager)
+
     def test_seed_flag_changes_corpus(self, tmp_path):
         a = str(tmp_path / "a")
         b = str(tmp_path / "b")
@@ -235,6 +258,34 @@ class TestTrainCommand:
         assert corpus in err and entry.path in err
 
 
+    def test_truncated_corpus_glyph_is_io_error_naming_it(self, workspace, tmp_path, capsys):
+        corpus = shutil.copytree(workspace[0], str(tmp_path / "corpus"))
+        entry = synth.read_manifest(corpus)[0]
+        assert entry.split == "train"
+        truncate(os.path.join(corpus, entry.path))
+        assert cli.main(["--quiet", "train", corpus, str(tmp_path / "m")]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("error: %s: P1 raster has 9 pixels" % entry.path)
+
+    def test_reads_only_the_train_split(self, workspace, tmp_path):
+        corpus = shutil.copytree(workspace[0], str(tmp_path / "corpus"))
+        for entry in synth.read_manifest(corpus):
+            if entry.split == "test":
+                truncate(os.path.join(corpus, entry.path))
+        models = str(tmp_path / "m")
+        assert cli.main(["--quiet", "train", corpus, models]) == cli.EXIT_OK
+        trained = {f: data for f, data in tree(workspace[1]).items() if f not in ("report.csv", "predictions.csv")}
+        assert tree(models) == trained
+
+    def test_insufficient_data_is_found_before_a_glyph_is_read(self, workspace, tmp_path, capsys):
+        # one sample of cha and a malformed glyph: the manifest check runs first
+        corpus = edited_corpus(
+            workspace[0], tmp_path, lambda t: "".join(l for l in t.splitlines(True) if ",cha," not in l or "/0000." in l)
+        )
+        truncate(os.path.join(corpus, synth.read_manifest(corpus)[-1].path))
+        assert cli.main(["--quiet", "train", corpus, str(tmp_path / "m")]) == cli.EXIT_DATA
+        assert "class 'cha' in group 'full_end' has 1 sample(s)" in capsys.readouterr().err
+
+
 class TestEvalCommand:
     def test_prints_table_and_writes_reports(self, workspace, capsys):
         corpus, models = workspace
@@ -278,6 +329,16 @@ class TestEvalCommand:
         assert cli.main(["--quiet", "eval", corpus, copy_models(models, tmp_path)]) == cli.EXIT_EMPTY
         err = capsys.readouterr().err
         assert corpus in err and entry.path in err
+
+
+    def test_truncated_corpus_glyph_is_io_error_naming_it(self, workspace, tmp_path, capsys):
+        corpus, models = workspace
+        corpus = shutil.copytree(corpus, str(tmp_path / "corpus"))
+        entry = synth.read_manifest(corpus)[-1]
+        assert entry.split == "test"
+        truncate(os.path.join(corpus, entry.path))
+        assert cli.main(["--quiet", "eval", corpus, copy_models(models, tmp_path)]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("error: %s: P1 raster has 9 pixels" % entry.path)
 
 
 def eval_outputs(corpus, models, argv=()):
@@ -325,6 +386,32 @@ class TestTrainAnalysisRecord:
         eval_outputs(corpus, copy_models(models, tmp_path), with_config(tmp_path, config) + ["--quiet"])
         entries = synth.read_manifest(corpus)
         assert len(calls) == sum(analysed in ("all", e.split) for e in entries)
+
+
+def traced_peaks(root, per_class):
+    """The traced peak bytes of `devoc synth`, `train` and `eval` over a new
+    corpus of 12 * per_class glyphs."""
+    corpus, models = os.path.join(root, "corpus%d" % per_class), os.path.join(root, "models%d" % per_class)
+    peaks = {}
+    for argv in (["synth", corpus, "--per-class", str(per_class)], ["train", corpus, models], ["eval", corpus, models]):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["--quiet"] + argv) == cli.EXIT_OK
+            peaks[argv[0]] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+class TestBoundedMemory:
+    def test_corpus_commands_hold_a_batch_of_images_not_the_corpus(self, tmp_path):
+        # 360 more glyphs are 3.6 MB of 100x100 bool images; a command that
+        # held them all would peak that much higher
+        traced_peaks(str(tmp_path), 2)  # first-call caches are not per glyph
+        small, large = traced_peaks(str(tmp_path), 10), traced_peaks(str(tmp_path), 40)
+        growth = {command: large[command] - small[command] for command in small}
+        assert all(grew < 1.2e6 for grew in growth.values()), growth
 
 
 class TestPredictCommand:

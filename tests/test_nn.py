@@ -97,6 +97,15 @@ class TestForward:
             nn.forward(net, [np.nan] + [0.0] * 31)
 
 
+    def test_sigmoid_is_bit_identical_to_the_two_branch_form(self):
+        z = np.concatenate([np.random.default_rng(2).normal(0, 30, 4000), [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf]])
+        pos = z >= 0
+        expected = np.empty_like(z)
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+        assert nn._sigmoid(z).tobytes() == expected.tobytes()
+
+
 class TestParams:
     def test_flatten_round_trip(self):
         net = nn.init_mlp(40, 5, seed=3)
@@ -246,6 +255,22 @@ class TestScgTrainer:
         scg, _ = nn.train(net, x, y, TrainConfig(max_epochs=5, trainer="scg"))
         mom, _ = nn.train(net, x, y, TrainConfig(max_epochs=5, trainer="momentum"))
         assert not np.array_equal(nn.flatten_params(scg), nn.flatten_params(mom))
+
+
+@pytest.mark.parametrize("trainer", ["scg", "momentum"])
+class TestTrainerBatchCheck:
+    def test_checks_the_batch_once_per_run(self, trainer, monkeypatch):
+        calls = []
+        check = nn._check_batch
+        monkeypatch.setattr(nn, "_check_batch", lambda *a: calls.append(a) or check(*a))
+        x, y = toy_batch(seed=40, n_out=5)
+        nn.train(nn.init_mlp(6, 5, seed=41), x, y, TrainConfig(max_epochs=5, trainer=trainer))
+        assert len(calls) == 1
+
+    def test_refuses_a_bad_batch(self, trainer):
+        x, y = toy_batch(seed=42, n_out=5)
+        with pytest.raises(LabelOutOfRangeError):
+            nn.train(nn.init_mlp(6, 5, seed=43), x, y * 0.5, TrainConfig(max_epochs=5, trainer=trainer))
 
 
 class TestTrainConfig:

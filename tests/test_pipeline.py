@@ -340,3 +340,29 @@ class TestLoadCorpus:
         for s in samples:
             assert s.image.shape == (100, 100)
             assert s.split in ("train", "test")
+
+    def test_file_backed_corpus_trains_and_evaluates_like_the_in_memory_one(self, templates, tmp_path):
+        samples = synth.generate_corpus(templates, 10, 2, 7)
+        root = str(tmp_path / "corpus")
+        synth.write_corpus(samples, root)
+        outputs = []
+        for name, corpus in (("disk", pipeline.load_corpus(root)), ("memory", pipeline.corpus_from_samples(samples))):
+            analysed = {}
+            modelset, _, routing_log = pipeline.train_all(corpus, Config(), analysed)
+            models = str(tmp_path / name)
+            pipeline.save_modelset(models, modelset)
+            pipeline.save_train_analysis(models, analysed, Config())
+            report = pipeline.evaluate(corpus, modelset, Config(), analysed)
+            files = {f: open(os.path.join(models, f), "rb").read() for f in sorted(os.listdir(models))}
+            outputs.append((files, routing_log, pipeline.predictions_csv(report), pipeline.report_csv(report), report.reused))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][4] == sum(s.split == "train" for s in samples)
+
+    def test_images_are_read_on_access_only(self, templates, tmp_path):
+        root = str(tmp_path / "corpus")
+        synth.write_corpus(synth.generate_corpus(templates[:2], 3, 0, 0), root)
+        os.remove(os.path.join(root, synth.read_manifest(root)[0].path))
+        samples = pipeline.load_corpus(root)
+        assert len(samples) == 6
+        with pytest.raises(raster.RasterError, match="cannot read"):
+            samples[0].image
