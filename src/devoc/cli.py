@@ -92,7 +92,7 @@ def _cmd_synth(args, cfg, say):
 
 def _cmd_train(args, cfg, say):
     analysed = {}
-    modelset, reports, routing_log = pipeline.train_all(pipeline.load_corpus(args.corpus), cfg, analysed)
+    modelset, reports, routing_log = pipeline.train_all(pipeline.load_corpus(args.corpus), cfg, analysed, say)
     pipeline.save_modelset(args.modeldir, modelset)
     pipeline.save_train_analysis(args.modeldir, analysed, cfg)
     for key in sorted(reports):
@@ -142,6 +142,7 @@ FAILURES = (
     (pipeline.InsufficientDataError, EXIT_DATA),
     (raster.RasterError, EXIT_IO),
     (pipeline.MalformedModelSetError, EXIT_IO),
+    (pipeline.WorkerDiedError, EXIT_IO),
     (nn.NnError, EXIT_IO),
     (ConfigError, EXIT_IO),
     (OSError, EXIT_IO),

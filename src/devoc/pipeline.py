@@ -1,7 +1,8 @@
 """End-to-end orchestration: preprocess -> structural routing -> per-group
 neural classification, plus corpus training and Table-style evaluation.
-Training records the stage-one result of each train glyph, and evaluation
-reuses it rather than analysing the same image again.
+Training analyses its glyphs in worker processes where there are enough of
+them (analyze_corpus) and records the stage-one result of each, and
+evaluation reuses it rather than analysing the same image again.
 
 Routing errors (detected group != manifest group) count against accuracy:
 the reported numbers are what a user of the whole system experiences.
@@ -38,6 +39,10 @@ class InsufficientDataError(Exception):
 
 class MalformedModelSetError(Exception):
     pass
+
+
+class WorkerDiedError(Exception):
+    """A worker process of analyze_corpus ended without returning its batch."""
 
 
 @dataclass(frozen=True)
@@ -159,29 +164,110 @@ def _check_corpus(samples):
 
 
 # ---------------------------------------------------------------------------
+# Corpus analysis
+
+
+def _analyze_batch(batch, cfg):
+    """The RecordedAnalysis of each sample of one batch, its images read
+    through synth.with_images."""
+    records = []
+    for s, img in synth.with_images(batch):
+        with synth.naming(s.path):
+            analysis = analyze_glyph(img, cfg)
+        records.append(RecordedAnalysis(_digest(img), analysis.group, analysis.raw_features))
+    return records
+
+
+def _can_fork():
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def corpus_workers(n_samples):
+    """The processes analyze_corpus uses for n_samples: one per CPU in this
+    process's affinity mask (os.sched_getaffinity, which does not see a
+    cgroup CPU quota), but no more than one per 4 batches, a last partial
+    batch counting as one. On a 2-vCPU host, two workers started together
+    for a few short batches often shared one CPU for their first 0.2-0.3 s,
+    and a 4-batch corpus trained about 20% slower pooled; no larger host was
+    measured. 1 means in-process, as does a platform without the fork start
+    method."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    n = min(cpus, -(-n_samples // synth.BATCH) // 4)
+    return n if n > 1 and _can_fork() else 1
+
+
+def analyze_corpus(samples, cfg=None):
+    """(records, workers): one RecordedAnalysis per sample, in input order,
+    and the number of processes that made them, corpus_workers(len(samples)).
+    The samples are cut into synth.BATCH batches, each analysed by one worker
+    process that reads its own images, so a file-backed batch pickles only
+    paths; at one worker the batches run in-process. The records do not
+    depend on the worker count. A worker that dies raises WorkerDiedError
+    naming the first batch, in input order, left unanalysed (not always the
+    one the dead worker held); any other error of a batch is raised as it
+    was. Either way the pending batches are cancelled and every worker has
+    exited first."""
+    cfg = cfg or Config()
+    batches = [samples[i : i + synth.BATCH] for i in range(0, len(samples), synth.BATCH)]
+    jobs = corpus_workers(len(samples))
+    if jobs <= 1:
+        return [rec for batch in batches for rec in _analyze_batch(batch, cfg)], 1
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork: a worker starts with the library already imported, and the pool
+    # forks every worker before it starts its own threads
+    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_analyze_batch, batch, cfg) for batch in batches]
+        records = []
+        for batch, future in zip(batches, futures):
+            try:
+                records += future.result()
+            except BrokenProcessPool:
+                # the pool breaks every unfinished batch, not only the one
+                # the dead worker held
+                raise WorkerDiedError(
+                    "a worker process died; the batches from %s on were not analysed" % batch[0].path
+                ) from None
+        return records, jobs
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+# ---------------------------------------------------------------------------
 # Training
 
 
-def train_all(samples, cfg=None, analysed=None):
+def train_all(samples, cfg=None, analysed=None, say=None):
     """Partition the training split by *detected* structural group (routing
     is part of the system under test), train one network per group.
     Returns (GroupModelSet, {group: TrainReport}, routing_log). A dict passed
     as analysed receives path -> RecordedAnalysis for every train glyph, the
-    record save_train_analysis writes. Only train-split images are read, a
-    batch at a time (synth.with_images)."""
+    record save_train_analysis writes. Only train-split images are read,
+    by analyze_corpus. say, if given, is called with one line naming how
+    many worker processes analysed the train glyphs."""
     cfg = cfg or Config()
     _check_corpus(samples)
+    train = [s for s in samples if s.split == "train"]
+    records, workers = analyze_corpus(train, cfg)
+    if say is not None:
+        say("analysed %d train glyphs in %d worker process(es)" % (len(train), workers))
     by_group = {}
     routing_log = []
-    for s, img in synth.with_images([s for s in samples if s.split == "train"]):
-        with synth.naming(s.path):
-            analysis = analyze_glyph(img, cfg)
+    for s, rec in zip(train, records):
         if analysed is not None:
-            analysed[s.path] = RecordedAnalysis(_digest(img), analysis.group, analysis.raw_features)
-        key = structural.group_name(analysis.group)
+            analysed[s.path] = rec
+        key = structural.group_name(rec.group)
         if key != s.group:
             routing_log.append((s.path, s.group, key))
-        by_group.setdefault(key, []).append((analysis.raw_features, s.class_label))
+        by_group.setdefault(key, []).append((rec.raw_features, s.class_label))
     manifest_groups = {s.group for s in samples}
     modelset = GroupModelSet()
     reports = {}

@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
 import io
+import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -284,6 +286,83 @@ class TestTrainCommand:
         truncate(os.path.join(corpus, synth.read_manifest(corpus)[-1].path))
         assert cli.main(["--quiet", "train", corpus, str(tmp_path / "m")]) == cli.EXIT_DATA
         assert "class 'cha' in group 'full_end' has 1 sample(s)" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def large_corpus(tmp_path_factory):
+    """A corpus of 552 train glyphs, 9 batches: train pools it by default."""
+    corpus = str(tmp_path_factory.mktemp("large") / "corpus")
+    assert cli.main(["--quiet", "synth", corpus, "--per-class", "64"]) == cli.EXIT_OK
+    return corpus
+
+
+def train_with_workers(monkeypatch, capsys, workers, corpus, models):
+    """Exit code, standard output and standard error of `devoc train` with
+    analyze_corpus set to use workers processes."""
+    monkeypatch.setattr(pipeline, "corpus_workers", lambda n: workers)
+    code = cli.main(["train", corpus, models])
+    assert multiprocessing.active_children() == []
+    return (code,) + tuple(capsys.readouterr())
+
+
+class TestTrainWorkers:
+    def test_model_bytes_do_not_depend_on_the_worker_count(self, large_corpus, tmp_path, monkeypatch, capsys):
+        files = []
+        for workers in (1, 2):
+            models = str(tmp_path / ("m%d" % workers))
+            code, out, _ = train_with_workers(monkeypatch, capsys, workers, large_corpus, models)
+            assert code == cli.EXIT_OK
+            assert "analysed 552 train glyphs in %d worker process(es)\n" % workers in out
+            files.append(tree(models))
+        assert {"modelset.txt", "full_end.mlp", "train_analysis.csv"} <= set(files[0])
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("faults", [("truncated", "blank"), ("blank",)])
+    def test_failures_do_not_depend_on_the_worker_count(self, large_corpus, tmp_path, monkeypatch, capsys, faults):
+        # a truncated glyph in batch 3, a blank one in batch 7
+        corpus = shutil.copytree(large_corpus, str(tmp_path / "corpus"))
+        train = [e.path for e in synth.read_manifest(corpus) if e.split == "train"]
+        bad = dict(zip(("truncated", "blank"), (train[3 * synth.BATCH + 5], train[7 * synth.BATCH + 9])))
+        if "truncated" in faults:
+            truncate(os.path.join(corpus, bad["truncated"]))
+        raster.save_pbm(os.path.join(corpus, bad["blank"]), np.zeros((20, 20), dtype=bool))
+        runs = [train_with_workers(monkeypatch, capsys, w, corpus, str(tmp_path / "m")) for w in (1, 2)]
+        assert runs[0] == runs[1]
+        code, _, err = runs[0]
+        assert code == (cli.EXIT_IO if "truncated" in faults else cli.EXIT_EMPTY)
+        assert bad[faults[0]] in err
+
+    def test_a_dying_worker_is_an_io_error_naming_its_batch(self, workspace, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        in_worker = lambda *a: os._exit(9) if os.getpid() != parent else pytest.fail("analysed in-process")
+        monkeypatch.setattr(pipeline, "analyze_glyph", in_worker)
+        code, _, err = train_with_workers(monkeypatch, capsys, 2, workspace[0], str(tmp_path / "m"))
+        first = next(e.path for e in synth.read_manifest(workspace[0]) if e.split == "train")
+        assert code == cli.EXIT_IO
+        assert err == "error: a worker process died; the batches from %s on were not analysed\n" % first
+        assert not (tmp_path / "m").exists()
+
+    def test_a_worker_dying_in_a_later_batch_names_no_batch_after_it(
+        self, large_corpus, tmp_path, monkeypatch, capsys
+    ):
+        # only the 10th glyph of batch 7 kills its worker; the error names the
+        # first batch left unanalysed, which may come before batch 7
+        train = [e.path for e in synth.read_manifest(large_corpus) if e.split == "train"]
+        fatal = pipeline._digest(raster.load_image(os.path.join(large_corpus, train[7 * synth.BATCH + 9])))
+        analyze_glyph = pipeline.analyze_glyph
+        parent = os.getpid()
+
+        def dies_on_fatal(img, cfg=None):
+            if pipeline._digest(img) == fatal and os.getpid() != parent:
+                os._exit(9)
+            return analyze_glyph(img, cfg)
+
+        monkeypatch.setattr(pipeline, "analyze_glyph", dies_on_fatal)
+        code, out, err = train_with_workers(monkeypatch, capsys, 2, large_corpus, str(tmp_path / "m"))
+        assert code == cli.EXIT_IO and out == ""
+        named = re.fullmatch(r"error: a worker process died; the batches from (\S+) on were not analysed\n", err)
+        assert named and named.group(1) in train[: 8 * synth.BATCH : synth.BATCH]
+        assert not (tmp_path / "m").exists()
 
 
 class TestEvalCommand:

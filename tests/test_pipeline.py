@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -329,6 +330,50 @@ class TestTrainAnalysisRecord:
         (tmp_path / pipeline.TRAIN_ANALYSIS_NAME).write_bytes(b"DEVOC-TRAIN-ANALYSIS \xff\n")
         with pytest.raises(MalformedModelSetError, match="not UTF-8"):
             pipeline.load_train_analysis(str(tmp_path), Config())
+
+
+def record_fields(records):
+    return [(r.digest, r.group, r.raw_features.tolist()) for r in records]
+
+
+class TestAnalyzeCorpus:
+    @pytest.mark.parametrize("where", ["disk", "memory"])
+    def test_records_do_not_depend_on_the_worker_count(self, templates, tmp_path, monkeypatch, where):
+        samples = synth.generate_corpus(templates, 12, 2, 5)  # 144 glyphs, 3 batches
+        if where == "disk":
+            synth.write_corpus(samples, str(tmp_path))
+            samples = pipeline.load_corpus(str(tmp_path))
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "corpus_workers", lambda n: workers)
+            records, used = pipeline.analyze_corpus(samples, Config())
+            assert used == workers
+            runs.append(record_fields(records))
+        serial, pooled = runs
+        assert serial == pooled
+        assert multiprocessing.active_children() == []
+        assert [r[1] for r in serial] == [pipeline.analyze_glyph(s.image).group for s in samples]
+
+    @pytest.mark.parametrize(
+        "cpus, n_samples, workers",
+        [(8, 0, 1), (8, 256, 1), (8, 449, 2), (8, 64 * 40, 8), (1, 64 * 40, 1), (3, 64 * 12, 3)],
+    )
+    def test_default_is_one_worker_per_cpu_and_per_4_batches(self, monkeypatch, cpus, n_samples, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert pipeline.corpus_workers(n_samples) == workers
+
+    def test_no_worker_outlives_train_all(self, templates, monkeypatch):
+        monkeypatch.setattr(pipeline, "corpus_workers", lambda n: 2)
+        samples = tiny_corpus(templates, per_class=20, amplitude=2)  # 168 train glyphs, 3 batches
+        pipeline.train_all(samples)
+        assert multiprocessing.active_children() == []
+        train = [i for i, s in enumerate(samples) if s.split == "train"]
+        blanked = list(samples)
+        i = train[2 * synth.BATCH]
+        blanked[i] = dataclasses.replace(samples[i], image=np.zeros((40, 40), dtype=bool))
+        with pytest.raises(raster.EmptyImageError, match=samples[i].path) as info:
+            pipeline.train_all(blanked)
+        assert info.traceback and multiprocessing.active_children() == []
 
 
 class TestLoadCorpus:
