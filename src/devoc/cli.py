@@ -1,7 +1,7 @@
 """Command-line frontend.
 
 Subcommands: inspect, synth, train, eval, predict. Exit codes are a stable
-scripting contract: 0 success, 1 I/O, format or bad-value error, 2
+scripting contract: 0 success, 1 I/O, format, bad-value or allocation error, 2
 empty/degenerate input, 3 insufficient data. `FAILURES` maps each error
 class to its code, and `main` holds the only handler.
 """
@@ -147,6 +147,7 @@ FAILURES = (
     (ConfigError, EXIT_IO),
     (OSError, EXIT_IO),
     (ValueError, EXIT_IO),
+    (MemoryError, EXIT_IO),
 )
 
 

@@ -96,6 +96,8 @@ class TrainConfig:
             raise ValueError("unknown trainer %r" % self.trainer)
         if self.n_hidden < 1:
             raise ValueError("n_hidden must be >= 1")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
 
 
 @dataclass

@@ -248,11 +248,14 @@ def analyze_corpus(samples, cfg=None):
 def train_all(samples, cfg=None, analysed=None, say=None):
     """Partition the training split by *detected* structural group (routing
     is part of the system under test), train one network per group.
-    Returns (GroupModelSet, {group: TrainReport}, routing_log). A dict passed
-    as analysed receives path -> RecordedAnalysis for every train glyph, the
-    record save_train_analysis writes. Only train-split images are read,
-    by analyze_corpus. say, if given, is called with one line naming how
-    many worker processes analysed the train glyphs."""
+    Returns (GroupModelSet, {group: TrainReport}, routing_log), where
+    routing_log holds (path, manifest group, detected group) for each
+    misrouted train glyph. A dict passed as analysed receives path ->
+    RecordedAnalysis for every train glyph, the record save_train_analysis
+    writes. Only train-split images are read, by analyze_corpus. say, if
+    given, is called with one line naming how many worker processes
+    analysed the train glyphs, and one line for each detected group skipped
+    for having a single class."""
     cfg = cfg or Config()
     _check_corpus(samples)
     train = [s for s in samples if s.split == "train"]
@@ -278,7 +281,8 @@ def train_all(samples, cfg=None, analysed=None, say=None):
                 raise InsufficientDataError(key, "detected group %r has a single class" % key)
             # a handful of misrouted glyphs can land in a group the corpus
             # does not contain; skip it rather than abort the whole run
-            routing_log.append(("<skipped group>", key, key))
+            if say is not None:
+                say("skipped detected group %s: %d glyph(s) of a single class" % (key, len(rows)))
             continue
         index = {label: i for i, label in enumerate(labels)}
         x = np.array([features.scale_features(vec, cfg.feature_cap) for vec, _ in rows])

@@ -99,6 +99,8 @@ class StructuralConfig:
     # mid-stroke, and the trace must climb the full spine to reach the
     # headline (the visited set already rules out cycles)
     max_consecutive_up: int = 100
+    # no effect: the trace stops at a gap, so the headline it yields covers
+    # every column it spans; kept so that config files setting it still load
     max_gap: int = 2
 
 
@@ -176,46 +178,21 @@ def straightness(heights, step_tol, drift_tol):
     return StraightnessReport(heights, max_step, drift, ok)
 
 
-def _headline_points(trace, step_tol):
-    """Drop the leading climb: a trace that starts mid-spine first ascends
-    within the start column's neighborhood before turning onto the headline.
-    Restart the trace at the topmost point of that leading run."""
+def _headline_tops(trace, step_tol):
+    """The headline points of the trace and each column's top row,
+    rightmost column first. A trace that starts mid-spine first ascends
+    within the start column's neighborhood before turning onto the
+    headline, so the headline restarts at the topmost point of that leading
+    run. The trace moves only W, NW, SW or N, so its column steps by 0 or
+    -1 and the tops cover every column the headline spans, and within a
+    column it only moves N, so the column's last point is its top."""
     points = trace.points
     c0 = points[0][1]
-    k = 0
+    k = 1
     while k < len(points) and points[k][1] >= c0 - (step_tol + 1):
         k += 1
-    prefix = points[:k] or points[:1]
-    i = min(range(len(prefix)), key=lambda j: prefix[j][0])
-    return points[i:]
-
-
-def _trace_top_segment(points, max_gap):
-    """Per-column topmost trace rows, walking left from the rightmost trace
-    column. Gaps of <= max_gap columns are bridged by linear interpolation;
-    a longer gap ends the segment. Returns (heights, n_columns_spanned)."""
-    tops = {}
-    for r, c in points:
-        if c not in tops or r < tops[c]:
-            tops[c] = r
-    cmax = max(tops)
-    cmin = min(tops)
-    heights = [tops[cmax]]
-    last_col = cmax
-    c = cmax - 1
-    while c >= cmin:
-        if c in tops:
-            gap = last_col - c - 1
-            if gap:
-                a, b = heights[-1], tops[c]
-                for k in range(1, gap + 1):
-                    heights.append(int(round(a + (b - a) * k / (gap + 1))))
-            heights.append(tops[c])
-            last_col = c
-        elif last_col - c > max_gap:
-            break
-        c -= 1
-    return heights, cmax - last_col + 1
+    points = points[min(range(k), key=lambda j: points[j][0]) :]
+    return points, list({c: r for r, c in points}.values())
 
 
 def detect_shirorekha(skel, cfg=None):
@@ -227,15 +204,14 @@ def detect_shirorekha(skel, cfg=None):
     rejected = ShirorekhaResult(ShirorekhaKind.NONE, None, 0.0)
     if len(trace.points) < 2 or trace.termination != Termination.OPEN_END:
         return rejected
-    points = _headline_points(trace, cfg.step_tol)
+    points, heights = _headline_tops(trace, cfg.step_tol)
     if len(points) < 2:
         return rejected
-    heights, span = _trace_top_segment(points, cfg.max_gap)
     drift_tol = math.ceil(cfg.drift_tol_frac * len(heights))
     report = straightness(heights, cfg.step_tol, drift_tol)
     if not report.is_near_straight:
         return rejected
-    span_ratio = span / skel.shape[1]
+    span_ratio = len(heights) / skel.shape[1]
     if span_ratio >= cfg.full_span:
         kind = ShirorekhaKind.FULL
     elif span_ratio >= cfg.partial_span:

@@ -634,6 +634,10 @@ BAD_INPUTS = {
     "train-negative-learning-rate": _train("learning_rate = -1"),
     "train-unknown-trainer": _train("trainer = foo"),
     "train-zero-hidden": _train("n_hidden = 0"),
+    "train-negative-max-epochs": _train("max_epochs = -5"),
+    # 2.2 EiB of weights: beyond any address space, so the allocation fails
+    # at once whatever the host's overcommit setting
+    "train-unallocatable-hidden-layer": _train("n_hidden = 10000000000000000"),
     "train-momentum-nan-learning-rate": _train("trainer = momentum\nlearning_rate = nan"),
     "train-negative-feature-cap": _train("feature_cap = -1"),
     "predict-zero-feature-cap": _predict("feature_cap = 0"),

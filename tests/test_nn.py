@@ -289,6 +289,7 @@ class TestTrainConfig:
             TrainConfig(min_gradient=0),
             TrainConfig(trainer="adam"),
             TrainConfig(n_hidden=0),
+            TrainConfig(max_epochs=-1),
         ):
             with pytest.raises(ValueError):
                 bad.validate()

@@ -161,11 +161,22 @@ class TestTrainAll:
                 nn.flatten_params(a.models[key][0]), nn.flatten_params(b.models[key][0])
             )
 
-    def test_routing_log_shape(self, trained):
-        _, _, _, routing_log = trained
-        for path, manifest_group, detected_group in routing_log:
-            assert isinstance(path, str)
-            structural.parse_group_name(detected_group)
+    def test_routing_log_shape(self, templates):
+        # this corpus misroutes one glyph into each of none_none and
+        # partial_none, groups it does not contain, so both are skipped
+        samples = tiny_corpus(templates, amplitude=2, seed=18)
+        lines = []
+        _, reports, routing_log = pipeline.train_all(samples, say=lines.append)
+        groups = {s.path: s.group for s in samples if s.split == "train"}
+        assert [(groups[path], manifest, detected) for path, manifest, detected in routing_log] == [
+            ("full_end", "full_end", "none_none"),
+            ("full_none", "full_none", "partial_none"),
+        ]
+        assert lines[1:] == [
+            "skipped detected group none_none: 1 glyph(s) of a single class",
+            "skipped detected group partial_none: 1 glyph(s) of a single class",
+        ]
+        assert sorted(reports) == ["full_end", "full_mid", "full_none", "partial_end"]
 
 
 class TestEvaluate:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -135,20 +136,10 @@ class TestStraightness:
 
 class TestTopSegment:
     def test_contiguous_columns(self):
-        pts = [(5, c) for c in range(10, 20)]
-        heights, span = structural._trace_top_segment(pts, 2)
-        assert heights == [5] * 10 and span == 10
-
-    def test_gap_within_tolerance_is_interpolated(self):
-        pts = [(5, 10), (5, 11), (8, 14), (8, 15)]
-        heights, span = structural._trace_top_segment(pts, 2)
-        assert span == 6
-        assert heights == [8, 8, 7, 6, 5, 5]
-
-    def test_gap_beyond_tolerance_ends_segment(self):
-        pts = [(5, 10), (5, 11), (5, 15), (5, 16)]
-        heights, span = structural._trace_top_segment(pts, 2)
-        assert span == 2  # only cols 15..16 before the 3-wide gap
+        # one N move in column 14, past the leading climb: that column's top is the upper point
+        pts = tuple((6, c) for c in range(19, 13, -1)) + tuple((5, c) for c in range(14, 9, -1))
+        points, heights = structural._headline_tops(structural.Trace(pts, Termination.OPEN_END), 2)
+        assert points == pts and heights == [6] * 5 + [5] * 5
 
 
 class TestShirorekha:
@@ -315,10 +306,11 @@ class TestConfig:
         assert cfg.spine_height_frac == 0.75
 
 
-# The oracles below are the per-point spine search, spine location and
-# headline trace: every top walked with an on-path check, masks built one
-# slice per pixel, moves bounds-checked with a visited set. They share no
-# code with devoc.structural.
+# The oracles below are the per-point spine search, spine location,
+# headline trace and shirorekha detection: every top walked with an on-path
+# check, masks built one slice per pixel, moves bounds-checked with a
+# visited set, column tops gathered in a dict with gaps of up to max_gap
+# columns bridged. They share no code with devoc.structural.
 
 
 def _near_straight(values, step_tol, drift_tol_frac):
@@ -428,6 +420,63 @@ def reference_trace(skel, max_consecutive_up):
     return structural.Trace(tuple(points), term)
 
 
+def _reference_headline_points(trace, step_tol):
+    points = trace.points
+    c0 = points[0][1]
+    k = 0
+    while k < len(points) and points[k][1] >= c0 - (step_tol + 1):
+        k += 1
+    prefix = points[:k] or points[:1]
+    i = min(range(len(prefix)), key=lambda j: prefix[j][0])
+    return points[i:]
+
+
+def _reference_top_segment(points, max_gap):
+    tops = {}
+    for r, c in points:
+        if c not in tops or r < tops[c]:
+            tops[c] = r
+    cmax = max(tops)
+    cmin = min(tops)
+    heights = [tops[cmax]]
+    last_col = cmax
+    c = cmax - 1
+    while c >= cmin:
+        if c in tops:
+            gap = last_col - c - 1
+            if gap:
+                a, b = heights[-1], tops[c]
+                for k in range(1, gap + 1):
+                    heights.append(int(round(a + (b - a) * k / (gap + 1))))
+            heights.append(tops[c])
+            last_col = c
+        elif last_col - c > max_gap:
+            break
+        c -= 1
+    return heights, cmax - last_col + 1
+
+
+def reference_detect_shirorekha(skel, cfg):
+    trace = reference_trace(skel, cfg.max_consecutive_up)
+    rejected = ShirorekhaResult(ShirorekhaKind.NONE, None, 0.0)
+    if len(trace.points) < 2 or trace.termination != Termination.OPEN_END:
+        return rejected
+    points = _reference_headline_points(trace, cfg.step_tol)
+    if len(points) < 2:
+        return rejected
+    heights, span = _reference_top_segment(points, cfg.max_gap)
+    if not _near_straight(heights, cfg.step_tol, cfg.drift_tol_frac):
+        return rejected
+    span_ratio = span / skel.shape[1]
+    if span_ratio >= cfg.full_span:
+        kind = ShirorekhaKind.FULL
+    elif span_ratio >= cfg.partial_span:
+        kind = ShirorekhaKind.PARTIAL
+    else:
+        return rejected
+    return ShirorekhaResult(kind, structural.Trace(points, trace.termination), span_ratio)
+
+
 def reference_detect_spines(skel, shirorekha, cfg):
     """detect_spines with the oracle candidate search and spine location."""
     with pytest.MonkeyPatch.context() as mp:
@@ -439,12 +488,18 @@ def reference_detect_spines(skel, shirorekha, cfg):
 def assert_stage_one_matches_reference(skel, cfg, max_consecutive_up):
     trace = structural.trace_from_rightmost(skel, max_consecutive_up)
     assert trace == reference_trace(skel, max_consecutive_up)
+    # the column tops cover every column a trace spans only while this holds
+    cols = [c for _, c in trace.points]
+    assert {b - a for a, b in zip(cols, cols[1:])} <= {0, -1}
     for t in (trace, None):
         assert structural._vertical_candidates(skel, t, cfg) == reference_vertical_candidates(skel, t, cfg)
     # any trace will do: detect_spines reads only the kind and the points
     shiro = ShirorekhaResult(ShirorekhaKind.FULL, trace, 1.0)
     assert structural.detect_spines(skel, shiro, cfg) == reference_detect_spines(skel, shiro, cfg)
     shiro = structural.detect_shirorekha(skel, cfg)
+    assert shiro == reference_detect_shirorekha(skel, cfg)
+    traced = dataclasses.replace(cfg, max_consecutive_up=max_consecutive_up)
+    assert structural.detect_shirorekha(skel, traced) == reference_detect_shirorekha(skel, traced)
     assert structural.detect_spines(skel, shiro, cfg) == reference_detect_spines(skel, shiro, cfg)
 
 
@@ -461,15 +516,22 @@ class TestStageOneMatchesReference:
         st.floats(0.0, 0.3),
         st.integers(0, 4),
         st.integers(0, 40),
+        st.integers(0, 3),
     )
-    def test_random_arrays(self, h, w, density, seed, thinned, height_frac, step_tol, drift_frac, max_up, mass_tol):
+    def test_random_arrays(
+        self, h, w, density, seed, thinned, height_frac, step_tol, drift_frac, max_up, mass_tol, max_gap
+    ):
         img = np.random.default_rng(seed).random((h, w)) < density
         if thinned:
             img = raster.thin_to_convergence(img)
         if not img.any():
             return
         cfg = StructuralConfig(
-            step_tol=step_tol, drift_tol_frac=drift_frac, spine_height_frac=height_frac, mid_mass_tol=mass_tol
+            step_tol=step_tol,
+            drift_tol_frac=drift_frac,
+            spine_height_frac=height_frac,
+            mid_mass_tol=mass_tol,
+            max_gap=max_gap,
         )
         assert_stage_one_matches_reference(img, cfg, max_up)
 
