@@ -10,6 +10,7 @@ the reported numbers are what a user of the whole system experiences.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import re
@@ -29,6 +30,7 @@ TRAIN_ANALYSIS_MAGIC = "DEVOC-TRAIN-ANALYSIS"
 # output, that is whenever TestAnalyze::test_stage_one_fingerprint's constant
 # changes, so that no model directory hands eval an analysis made by other code.
 TRAIN_ANALYSIS_VERSION = 1
+BATCH = 64  # corpus glyphs per analyze_corpus task
 
 
 class InsufficientDataError(Exception):
@@ -120,25 +122,9 @@ def recognize(img, modelset, cfg=None):
 # Corpus handling
 
 
-@dataclass(frozen=True)
-class CorpusSample:
-    """A manifest row of a corpus on disk. Its image is read from
-    <root>/<path> on every access and never kept."""
-
-    root: str
-    path: str
-    class_label: str
-    group: str
-    split: str
-
-    @property
-    def image(self):
-        return raster.load_image(os.path.join(self.root, self.path))
-
-
 def load_corpus(root):
-    """The samples of <root>/manifest.csv; no image is read here."""
-    return [CorpusSample(root, e.path, e.class_label, e.group, e.split) for e in synth.read_manifest(root)]
+    """synth.read_manifest's entries, each reading its image on access."""
+    return synth.read_manifest(root)
 
 
 def corpus_from_samples(samples):
@@ -149,10 +135,14 @@ def corpus_from_samples(samples):
 
 
 def _check_corpus(samples):
+    """Raise InsufficientDataError unless the train split has a glyph, each
+    group 2+ classes and each class 2+ train glyphs."""
     by_group = {}
     for s in samples:
-        by_group.setdefault(s.group, {}).setdefault(s.class_label, 0)
-        by_group[s.group][s.class_label] += 1
+        classes = by_group.setdefault(s.group, {})
+        classes[s.class_label] = classes.get(s.class_label, 0) + (s.split == "train")
+    if not any(s.split == "train" for s in samples):
+        raise InsufficientDataError(None, "the corpus has no train-split glyph")
     for group, classes in sorted(by_group.items()):
         if len(classes) < 2:
             raise InsufficientDataError(group, "group %r has a single class" % group)
@@ -167,12 +157,22 @@ def _check_corpus(samples):
 # Corpus analysis
 
 
+@contextlib.contextmanager
+def naming(path):
+    """Prefix a RasterError raised in the block with a corpus glyph's path."""
+    try:
+        yield
+    except raster.RasterError as exc:
+        raise type(exc)("%s: %s" % (path, exc)) from exc
+
+
 def _analyze_batch(batch, cfg):
-    """The RecordedAnalysis of each sample of one batch, its images read
-    through synth.with_images."""
+    """The RecordedAnalysis of each sample of one batch, in order: each
+    image is read and analysed before the next is read."""
     records = []
-    for s, img in synth.with_images(batch):
-        with synth.naming(s.path):
+    for s in batch:
+        with naming(s.path):
+            img = s.image
             analysis = analyze_glyph(img, cfg)
         records.append(RecordedAnalysis(_digest(img), analysis.group, analysis.raw_features))
     return records
@@ -197,14 +197,14 @@ def corpus_workers(n_samples):
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
         cpus = os.cpu_count() or 1
-    n = min(cpus, -(-n_samples // synth.BATCH) // 4)
+    n = min(cpus, -(-n_samples // BATCH) // 4)
     return n if n > 1 and _can_fork() else 1
 
 
 def analyze_corpus(samples, cfg=None):
     """(records, workers): one RecordedAnalysis per sample, in input order,
     and the number of processes that made them, corpus_workers(len(samples)).
-    The samples are cut into synth.BATCH batches, each analysed by one worker
+    The samples are cut into BATCH batches, each analysed by one worker
     process that reads its own images, so a file-backed batch pickles only
     paths; at one worker the batches run in-process. The records do not
     depend on the worker count. A worker that dies raises WorkerDiedError
@@ -213,7 +213,7 @@ def analyze_corpus(samples, cfg=None):
     was. Either way the pending batches are cancelled and every worker has
     exited first."""
     cfg = cfg or Config()
-    batches = [samples[i : i + synth.BATCH] for i in range(0, len(samples), synth.BATCH)]
+    batches = [samples[i : i + BATCH] for i in range(0, len(samples), BATCH)]
     jobs = corpus_workers(len(samples))
     if jobs <= 1:
         return [rec for batch in batches for rec in _analyze_batch(batch, cfg)], 1
@@ -337,19 +337,20 @@ def evaluate(samples, modelset, cfg=None, analysed=None):
     predicted label equals the manifest label (misrouting counts as wrong).
     A sample whose path and image digest match an entry of analysed (from
     load_train_analysis) is classified from that recorded stage-one result
-    instead of being analysed again. Images are read a batch at a time
-    (synth.with_images)."""
+    instead of being analysed again. Each image is read and used before the
+    next is read."""
     cfg = cfg or Config()
     analysed = analysed or {}
     records = []
     reused = 0
-    for s, img in synth.with_images(samples):
-        known = analysed.get(s.path)
-        if known is not None and known.digest == _digest(img):
-            pred = classify(known.group, known.raw_features, modelset, cfg)
-            reused += 1
-        else:
-            with synth.naming(s.path):
+    for s in samples:
+        with naming(s.path):
+            img = s.image
+            known = analysed.get(s.path)
+            if known is not None and known.digest == _digest(img):
+                pred = classify(known.group, known.raw_features, modelset, cfg)
+                reused += 1
+            else:
                 pred = recognize(img, modelset, cfg)
         records.append(
             SampleRecord(
@@ -390,7 +391,8 @@ def render_report(report):
     ]
     widths = [max(len(row[i]) for row in [header] + body) for i in range(5)]
     lines = ["  ".join(v.ljust(widths[i]) for i, v in enumerate(row)) for row in [header] + body]
-    lines.append("overall test accuracy: %s%%" % _fmt_acc(report.overall_accuracy))
+    overall = report.overall_accuracy
+    lines.append("overall test accuracy: %s" % ("n/a" if overall != overall else "%.2f%%" % overall))
     return "\n".join(lines)
 
 
@@ -452,7 +454,10 @@ def load_modelset(dirpath):
             structural.parse_group_name(key)
         except ValueError as exc:
             raise MalformedModelSetError("bad modelset line %r: %s" % (line, exc))
-        net, labels = nn.load_model(os.path.join(dirpath, fname))
+        path = os.path.join(dirpath, fname)
+        net, labels = nn.load_model(path)
+        if net.n_in != features.N_FEATURES:
+            raise MalformedModelSetError("%s: %d inputs, not %d features" % (path, net.n_in, features.N_FEATURES))
         modelset.models[key] = (net, labels)
     return modelset
 

@@ -8,7 +8,6 @@ groups that carry the reported results, three character classes each.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import os
@@ -21,7 +20,7 @@ from . import raster
 from .structural import ShirorekhaKind, SpineKind, StructuralClass, group_name
 
 CANVAS = 100
-BATCH = 64  # corpus images that with_images holds at once
+RENDER_AHEAD = 64  # glyph images write_corpus holds at once
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,6 @@ class Sample:
     class_label: str
     group: str
     split: str  # "train" or "test"
-    template_id: str
     index: int
 
     @property
@@ -253,63 +251,54 @@ def plan_corpus(templates, per_class, amplitude=0, seed=0):
 def generate_corpus(templates, per_class, amplitude=0, seed=0):
     """plan_corpus's samples, rendered; a pure function of its arguments."""
     return [
-        Sample(p.image, p.class_label, p.group, p.split, p.template.id, p.index)
+        Sample(p.image, p.class_label, p.group, p.split, p.index)
         for p in plan_corpus(templates, per_class, amplitude, seed)
     ]
-
-
-@contextlib.contextmanager
-def naming(path):
-    """Prefix a RasterError raised in the block with a corpus glyph's path."""
-    try:
-        yield
-    except raster.RasterError as exc:
-        raise type(exc)("%s: %s" % (path, exc)) from exc
-
-
-def with_images(samples):
-    """(sample, image) for each of samples, in order. The images are fetched
-    BATCH at a time, each once, and a RasterError raised while fetching one
-    names its path."""
-    for start in range(0, len(samples), BATCH):
-        chunk = samples[start : start + BATCH]
-        images = []
-        for s in chunk:
-            with naming(s.path):
-                images.append(s.image)
-        yield from zip(chunk, images)
 
 
 def write_corpus(samples, root):
     """Layout: <root>/<Sample.path> + manifest.csv with columns
     path,class_label,group,split. A field the manifest cannot hold raises
-    ValueError before anything is written. Takes eager or planned samples;
-    images are read through with_images."""
+    ValueError before anything is written. Takes eager or planned samples,
+    and holds RENDER_AHEAD images at a time."""
     manifest = os.path.join(root, MANIFEST_NAME)
     rows = [(s.path, s.class_label, s.group, s.split) for s in samples]
     for row in rows:
         raster.check_text_fields(row, manifest)
     os.makedirs(root, exist_ok=True)
-    for s, img in with_images(samples):
-        full = os.path.join(root, s.path)
-        os.makedirs(os.path.dirname(full), exist_ok=True)
-        raster.save_pbm(full, img)
+    for folder in sorted({os.path.dirname(row[0]) for row in rows}):
+        os.makedirs(os.path.join(root, folder), exist_ok=True)
+    # RENDER_AHEAD renders, then their writes: on a 2-vCPU host, a file
+    # written between every two renders made synth about 25% slower
+    for start in range(0, len(samples), RENDER_AHEAD):
+        chunk = samples[start : start + RENDER_AHEAD]
+        for s, img in zip(chunk, [s.image for s in chunk]):
+            raster.save_pbm(os.path.join(root, s.path), img)
     lines = ["path,class_label,group,split"] + [",".join(row) for row in rows]
     raster.write_utf8(manifest, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """A manifest row of a corpus on disk. Its image is read from
+    <root>/<path> on every access and never kept."""
+
+    root: str
     path: str
     class_label: str
     group: str
     split: str
 
+    @property
+    def image(self):
+        return raster.load_image(os.path.join(self.root, self.path))
+
 
 def read_manifest(root):
-    """Rows of <root>/manifest.csv. Raises ValueError naming the file when it
-    is not UTF-8, and its line too for malformed CSV, an empty or missing
-    field, one write_corpus would refuse, or a split other than train/test."""
+    """A CorpusEntry per row of <root>/manifest.csv; no image is read here.
+    Raises ValueError naming the file when it is not UTF-8, and its line too
+    for malformed CSV, an empty or missing field, one write_corpus would
+    refuse, or a split other than train/test."""
     manifest = os.path.join(root, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise FileNotFoundError("no %s in %s" % (MANIFEST_NAME, root))
@@ -326,7 +315,7 @@ def read_manifest(root):
             raster.check_text_fields((row[f] for f in fields), where)
             if row["split"] not in ("train", "test"):
                 raise ValueError("%s: split %r is not train or test" % (where, row["split"]))
-            entries.append(CorpusEntry(*(row[f] for f in fields)))
+            entries.append(CorpusEntry(root, *(row[f] for f in fields)))
     except csv.Error as exc:
         raise ValueError("%s:%d: %s" % (manifest, reader.reader.line_num, exc))
     return entries

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devoc import cli, pipeline, raster, synth
+from devoc import cli, features, nn, pipeline, raster, synth
 from devoc.config import (
     BadConfigValueError,
     Config,
@@ -287,6 +287,25 @@ class TestTrainCommand:
         assert cli.main(["--quiet", "train", corpus, str(tmp_path / "m")]) == cli.EXIT_DATA
         assert "class 'cha' in group 'full_end' has 1 sample(s)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda t: t.replace(",cha,full_end,train", ",cha,full_end,test"),
+                "class 'cha' in group 'full_end' has 0 sample(s)",
+            ),
+            (lambda t: t.replace(",train\n", ",test\n"), "no train-split glyph"),
+            (lambda t: t.splitlines(True)[0], "no train-split glyph"),
+        ],
+        ids=["class-only-in-test", "no-train-row", "no-row"],
+    )
+    def test_training_data_is_counted_on_the_train_split(self, workspace, tmp_path, capsys, edit, message):
+        corpus = edited_corpus(workspace[0], tmp_path, edit)
+        models = tmp_path / "m"
+        assert cli.main(["--quiet", "train", corpus, str(models)]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not models.exists()
+
 
 @pytest.fixture(scope="module")
 def large_corpus(tmp_path_factory):
@@ -322,7 +341,8 @@ class TestTrainWorkers:
         # a truncated glyph in batch 3, a blank one in batch 7
         corpus = shutil.copytree(large_corpus, str(tmp_path / "corpus"))
         train = [e.path for e in synth.read_manifest(corpus) if e.split == "train"]
-        bad = dict(zip(("truncated", "blank"), (train[3 * synth.BATCH + 5], train[7 * synth.BATCH + 9])))
+        batch = pipeline.BATCH
+        bad = dict(zip(("truncated", "blank"), (train[3 * batch + 5], train[7 * batch + 9])))
         if "truncated" in faults:
             truncate(os.path.join(corpus, bad["truncated"]))
         raster.save_pbm(os.path.join(corpus, bad["blank"]), np.zeros((20, 20), dtype=bool))
@@ -331,6 +351,25 @@ class TestTrainWorkers:
         code, _, err = runs[0]
         assert code == (cli.EXIT_IO if "truncated" in faults else cli.EXIT_EMPTY)
         assert bad[faults[0]] in err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command, split", [("train", "train"), ("eval", "test")])
+    def test_the_first_faulty_glyph_in_manifest_order_decides(
+        self, workspace, tmp_path, monkeypatch, capsys, workers, command, split
+    ):
+        # a blank glyph at position 5 of the split and a truncated one at
+        # position 10, both among the first 64 glyphs of the manifest
+        corpus = shutil.copytree(workspace[0], str(tmp_path / "corpus"))
+        paths = [e.path for e in synth.read_manifest(corpus) if e.split == split]
+        blank, cut = paths[5], paths[10]
+        raster.save_pbm(os.path.join(corpus, blank), np.zeros((20, 20), dtype=bool))
+        truncate(os.path.join(corpus, cut))
+        models = copy_models(workspace[1], tmp_path)
+        monkeypatch.setattr(pipeline, "corpus_workers", lambda n: workers)
+        assert cli.main(["--quiet", command, corpus, models]) == cli.EXIT_EMPTY
+        err = capsys.readouterr().err
+        assert blank in err and cut not in err
+        assert multiprocessing.active_children() == []
 
     def test_a_dying_worker_is_an_io_error_naming_its_batch(self, workspace, tmp_path, monkeypatch, capsys):
         parent = os.getpid()
@@ -348,7 +387,7 @@ class TestTrainWorkers:
         # only the 10th glyph of batch 7 kills its worker; the error names the
         # first batch left unanalysed, which may come before batch 7
         train = [e.path for e in synth.read_manifest(large_corpus) if e.split == "train"]
-        fatal = pipeline._digest(raster.load_image(os.path.join(large_corpus, train[7 * synth.BATCH + 9])))
+        fatal = pipeline._digest(raster.load_image(os.path.join(large_corpus, train[7 * pipeline.BATCH + 9])))
         analyze_glyph = pipeline.analyze_glyph
         parent = os.getpid()
 
@@ -361,7 +400,7 @@ class TestTrainWorkers:
         code, out, err = train_with_workers(monkeypatch, capsys, 2, large_corpus, str(tmp_path / "m"))
         assert code == cli.EXIT_IO and out == ""
         named = re.fullmatch(r"error: a worker process died; the batches from (\S+) on were not analysed\n", err)
-        assert named and named.group(1) in train[: 8 * synth.BATCH : synth.BATCH]
+        assert named and named.group(1) in train[: 8 * pipeline.BATCH : pipeline.BATCH]
         assert not (tmp_path / "m").exists()
 
 
@@ -537,6 +576,14 @@ class TestPredictCommand:
         data = b"DEVOC-MLP v1\n\xff\xfe\n"
         assert self.predict_with_broken(workspace, tmp_path, "full_end.mlp", data) == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_model_of_the_wrong_input_width_is_io_error_naming_it(self, workspace, tmp_path, capsys):
+        narrow = str(tmp_path / "narrow.mlp")
+        nn.save_model(narrow, nn.init_mlp(4, 3, seed=0, n_in=features.N_FEATURES - 1), ["cha", "kha", "ssa"])
+        data = open(narrow, "rb").read()
+        assert self.predict_with_broken(workspace, tmp_path, "full_end.mlp", data) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and os.path.join("models", "full_end.mlp") in err
 
     def test_missing_image_is_io_error(self, workspace, tmp_path):
         _, models = workspace

@@ -1,0 +1,55 @@
+"""Metamorphic checks of stage one: the same glyph, drawn differently, gets
+the same analysis.
+
+Exact relations only, over corpus glyphs at 1 px and at a thick pen (2x
+pixel replication plus one 3x3 dilation, numpy alone).
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from devoc import pipeline, raster, synth
+
+# ten jittered glyphs per class, each rendered when drawn
+GLYPHS = synth.plan_corpus(synth.default_templates(), 10, amplitude=2, seed=0)
+
+glyphs = st.tuples(st.integers(0, len(GLYPHS) - 1), st.booleans())
+
+
+def draw(index, thick):
+    img = GLYPHS[index].image
+    if thick:
+        img = raster.thicken(np.repeat(np.repeat(img, 2, axis=0), 2, axis=1))
+    return img
+
+
+def outcome(img):
+    """Every field of analyze_glyph's result, in a form == compares."""
+    a = pipeline.analyze_glyph(img)
+    return a.skeleton.tobytes(), a.shirorekha, a.spine, a.group, a.raw_features.tolist()
+
+
+borders = st.tuples(*[st.integers(0, 60)] * 4)  # top, bottom, left, right
+
+
+def pad(img, margins):
+    top, bottom, left, right = margins
+    return np.pad(img, ((top, bottom), (left, right)))
+
+
+@settings(max_examples=480, deadline=None)
+@given(glyph=glyphs, margins=borders)
+def test_zero_padding_keeps_the_analysis(glyph, margins):
+    img = draw(*glyph)
+    assert outcome(pad(img, margins)) == outcome(img)
+
+
+@settings(max_examples=240, deadline=None)
+@given(glyph=glyphs, margins=borders)
+def test_a_pbm_round_trip_keeps_the_analysis(tmp_path_factory, glyph, margins):
+    # padded, so that the file's width and height are of either parity
+    img = pad(draw(*glyph), margins)
+    path = str(tmp_path_factory.getbasetemp() / "round_trip.pbm")
+    raster.save_pbm(path, img)
+    assert outcome(raster.load_image(path)) == outcome(img)

@@ -209,6 +209,7 @@ class TestEvaluate:
         assert math.isnan(report.overall_accuracy)
         text = pipeline.render_report(report)
         assert "n/a" in text
+        assert text.splitlines()[-1] == "overall test accuracy: n/a"
 
     def test_render_report_layout(self, trained):
         samples, modelset, _, _ = trained
@@ -380,7 +381,7 @@ class TestAnalyzeCorpus:
         assert multiprocessing.active_children() == []
         train = [i for i, s in enumerate(samples) if s.split == "train"]
         blanked = list(samples)
-        i = train[2 * synth.BATCH]
+        i = train[2 * pipeline.BATCH]
         blanked[i] = dataclasses.replace(samples[i], image=np.zeros((40, 40), dtype=bool))
         with pytest.raises(raster.EmptyImageError, match=samples[i].path) as info:
             pipeline.train_all(blanked)
