@@ -368,7 +368,7 @@ def load_model(path):
     try:
         lines = read_utf8(path, MalformedModelFileError).splitlines()
     except OSError as exc:
-        raise MalformedModelFileError("cannot read %s: %s" % (path, exc))
+        raise MalformedModelFileError("cannot read %s: %s" % (path, exc.strerror or exc))
     if len(lines) < 4:
         raise MalformedModelFileError("model file too short")
     head = lines[0].split()

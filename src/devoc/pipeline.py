@@ -158,11 +158,14 @@ def _check_corpus(samples):
 
 
 @contextlib.contextmanager
-def naming(path):
-    """Prefix a RasterError raised in the block with a corpus glyph's path."""
+def naming(path, errors=raster.RasterError):
+    """Prefix an error of the errors class(es) raised in the block with the
+    path of the file it concerns, unless its message names that path already."""
     try:
         yield
-    except raster.RasterError as exc:
+    except errors as exc:
+        if path in str(exc):
+            raise
         raise type(exc)("%s: %s" % (path, exc)) from exc
 
 
@@ -184,19 +187,34 @@ def _can_fork():
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+CPU_MAX = "/sys/fs/cgroup/cpu.max"  # cgroup v2: "<quota> <period>", or "max <period>"
+
+
+def _quota_cpus():
+    """ceil(quota / period) of the cgroup v2 CPU quota in CPU_MAX, or None
+    when the file is missing, unreadable, malformed or reads max."""
+    try:
+        with open(CPU_MAX) as fh:
+            quota, period = (int(v) for v in fh.read().split())
+        return -(-quota // period)
+    except (OSError, ValueError, ZeroDivisionError):
+        return None
+
+
 def corpus_workers(n_samples):
     """The processes analyze_corpus uses for n_samples: one per CPU in this
-    process's affinity mask (os.sched_getaffinity, which does not see a
-    cgroup CPU quota), but no more than one per 4 batches, a last partial
-    batch counting as one. On a 2-vCPU host, two workers started together
-    for a few short batches often shared one CPU for their first 0.2-0.3 s,
-    and a 4-batch corpus trained about 20% slower pooled; no larger host was
-    measured. 1 means in-process, as does a platform without the fork start
-    method."""
+    process's affinity mask (os.sched_getaffinity), and no more than a
+    cgroup v2 CPU quota allows (ceil(quota / period) from CPU_MAX), but no
+    more than one per 4 batches, a last partial batch counting as one. On a
+    2-vCPU host, two workers started together for a few short batches often
+    shared one CPU for their first 0.2-0.3 s, and a 4-batch corpus trained
+    about 20% slower pooled; no larger host was measured. 1 means
+    in-process, as does a platform without the fork start method."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
         cpus = os.cpu_count() or 1
+    cpus = min(cpus, _quota_cpus() or cpus)
     n = min(cpus, -(-n_samples // BATCH) // 4)
     return n if n > 1 and _can_fork() else 1
 
@@ -455,7 +473,8 @@ def load_modelset(dirpath):
         except ValueError as exc:
             raise MalformedModelSetError("bad modelset line %r: %s" % (line, exc))
         path = os.path.join(dirpath, fname)
-        net, labels = nn.load_model(path)
+        with naming(path, nn.NnError):
+            net, labels = nn.load_model(path)
         if net.n_in != features.N_FEATURES:
             raise MalformedModelSetError("%s: %d inputs, not %d features" % (path, net.n_in, features.N_FEATURES))
         modelset.models[key] = (net, labels)

@@ -144,7 +144,7 @@ def load_image(path):
         with open(path, "rb") as fh:
             buf = fh.read()
     except OSError as exc:
-        raise RasterError("cannot read %s: %s" % (path, exc))
+        raise RasterError("cannot read %s: %s" % (path, exc.strerror or exc))
     return _parse(buf)
 
 
@@ -257,15 +257,25 @@ def _bordered(img):
     return grid, np.array([dr * (w + 2) + dc for dr, dc in _RING])
 
 
-_GATHER_BITS = np.uint64(0x0102040810204080)
+_WEIGHTS = (1 << np.arange(8, dtype=np.uint8))[:, None]  # ring code bit of each _RING neighbor
 
 
 def _codes(bits):
     """Ring codes (bit i set when neighbor _RING[i] is foreground) from ring
-    bits gathered as a bool array of shape (..., 8). Read as a little-endian
-    integer, each row holds neighbor i in bit 8i; the multiply moves that bit
-    to bit 56 + i, and no two partial products share a bit, so none carries."""
-    return (bits.view("<u8")[..., 0] * _GATHER_BITS) >> np.uint64(56)
+    bits gathered as a bool array of shape (8, n), one column per pixel."""
+    return (bits.view(np.uint8) * _WEIGHTS).sum(axis=0, dtype=np.uint8)
+
+
+def _code(px, i, w):
+    """_codes for one pixel over Python ints: px is a memoryview of a
+    bordered grid w pixels wide, i a flat index into it. Read this way, in
+    _RING order unrolled, a code costs about a third of a loop over
+    ndarray.item."""
+    a, b = i - w, i + w
+    return (
+        px[a] | px[a + 1] << 1 | px[i + 1] << 2 | px[b + 1] << 3
+        | px[b] << 4 | px[b - 1] << 5 | px[i - 1] << 6 | px[a - 1] << 7
+    )
 
 
 def _ring_tables():
@@ -282,46 +292,72 @@ def _ring_tables():
     A = (~bits & np.roll(bits, -1, axis=1)).sum(axis=1)
     P2, P3, P4, P5, P6, P7, P8, P9 = bits.T
     thinnable = (B >= 2) & (B <= 6) & (A == 1)
-    steps = {
-        1: thinnable & ~(P2 & P4 & P6) & ~(P4 & P6 & P8),
-        2: thinnable & ~(P2 & P4 & P8) & ~(P2 & P6 & P8),
-    }
+    steps = (
+        thinnable & ~(P2 & P4 & P6) & ~(P4 & P6 & P8),
+        thinnable & ~(P2 & P4 & P8) & ~(P2 & P6 & P8),
+    )
     in_block = (P2 & P3 & P4) | (P4 & P5 & P6) | (P6 & P7 & P8) | (P8 & P9 & P2)
-    return steps, in_block & (A == 1)
+    return steps, (in_block & (A == 1)).tolist()
 
 
-_ZS_TABLES, _PEEL = _ring_tables()
+_ZS_TABLES, _PEEL = _ring_tables()  # Zhang-Suen steps 1, 2 (arrays); peel (a list)
+_ZS_LISTS = tuple(t.tolist() for t in _ZS_TABLES)
+
+# The regimes of a thinning subiteration after the first pass, by its
+# number of touched indices (repeats counted; each deletion touches 8):
+# - up to _FEW_TOUCHED, as when Zhang-Suen erodes a 2-px diagonal one pixel
+#   per subiteration, numpy's fixed cost per call would outweigh the pixels,
+#   so the subiteration runs over Python ints (_zs_delete_few);
+# - above 1/_DENSE_SHARE of the grid, three passes over a bool grid
+#   (_marked) cost less than sorting out the repeats among that many 8-byte
+#   indices (_distinct);
+# - in between, _distinct keeps the work in proportion to the touched
+#   indices however large the canvas.
+_FEW_TOUCHED = 32
+_DENSE_SHARE = 16
 
 
-def _zs_delete(grid, cand, ring, table):
+def _zs_delete(buf, cand, ring, table):
     """One parallel Zhang-Suen subiteration over the candidate pixels (flat
-    indices into the zero-bordered bool grid, all foreground). Deletes the
-    deletable ones, sparing one pixel of any component that would vanish,
-    and returns the flat indices of the deleted pixels' neighbors, one row
-    per deleted pixel."""
-    buf = grid.reshape(-1)
-    nbrs = cand[:, None] + ring
+    indices into the zero-bordered grid's buffer buf, all foreground).
+    Deletes the deletable ones, sparing one pixel of any component that
+    would vanish, and returns the flat indices of the deleted pixels'
+    neighbors, 8 per deleted pixel."""
+    nbrs = ring[:, None] + cand  # (8, n): row k holds neighbor _RING[k]
     hit = table[_codes(buf[nbrs])]
-    dele, nbrs = cand[hit], nbrs[hit]
+    dele, nbrs = cand[hit], nbrs.compress(hit, axis=1)
     if dele.size == 0:
-        return nbrs
+        return nbrs.ravel()
     buf[dele] = False
-    kept = buf[nbrs].any(axis=1)
+    kept = buf[nbrs].any(axis=0)
     if not kept.all():
         # a deleted pixel kept no 8-neighbor, so its whole component may be gone
-        _spare_doomed(buf, dele, ~kept, ring)
-        nbrs = nbrs[~buf[dele]]
-    return nbrs
+        _spare_doomed(buf, dele.tolist(), dele[~kept].tolist(), ring.tolist())
+        nbrs = nbrs.compress(~buf[dele], axis=1)
+    return nbrs.ravel()
+
+
+def _zs_delete_few(px, cand, w, ring, table):
+    """_zs_delete over Python ints, for a handful of candidates: px is the
+    buffer as a memoryview, w the grid's width, ring and table are lists.
+    Returns the deleted pixels' neighbors as a list."""
+    dele = [i for i in cand if table[_code(px, i, w)]]
+    for i in dele:
+        px[i] = False
+    alone = [i for i in dele if not _code(px, i, w)]
+    if alone:
+        _spare_doomed(px, dele, alone, ring)
+        dele = [i for i in dele if not px[i]]
+    return [i + d for i in dele for d in ring]
 
 
 def _spare_doomed(buf, dele, alone, ring):
     """Put back the raster-first pixel of each component that the deletion
     of dele (flat indices, cleared in buf) wiped out. Such a component lost
-    every pixel, so none of them kept a neighbor (alone): walk the deleted
-    pixels from each alone one, and the component is gone when every pixel
-    the walk reaches is alone."""
-    unwalked, lonely = set(dele.tolist()), set(dele[alone].tolist())
-    ring = ring.tolist()
+    every pixel, so none of them kept a neighbor (alone, a subset of dele):
+    walk the deleted pixels from each alone one, and the component is gone
+    when every pixel the walk reaches is alone. All three are lists."""
+    unwalked, lonely = set(dele), set(alone)
     for start in lonely:
         if start not in unwalked:  # an earlier walk reached it
             continue
@@ -344,12 +380,25 @@ def _distinct(idx, stamp):
     return idx[stamp[idx] == order]
 
 
-def _peel_square_blocks(grid, ring):
+def _marked(buf, touched, mark):
+    """The distinct foreground pixels among the touched flat indices (a
+    sequence of index arrays), by a scan of mark: a bool grid the size of
+    buf, all False before and after."""
+    for t in touched:
+        mark[t] = True
+    mark &= buf
+    cand = np.flatnonzero(mark)
+    mark[cand] = False
+    return cand
+
+
+def _peel_square_blocks(grid):
     """Zhang-Suen can leave 2x2 squares in staircase regions; peel them off
     sequentially, visiting each round's block members in raster order and
     deleting the _PEEL ones, until no block is left or a round deletes
     nothing (no simple pixel left: give up rather than disconnect)."""
     buf = grid.reshape(-1)
+    px = memoryview(buf)
     w = grid.shape[1]
     corner = (0, 1, w, w + 1)
     while True:
@@ -358,9 +407,9 @@ def _peel_square_blocks(grid, ring):
         if tops.size == 0:
             return
         changed = False
-        for i in np.unique(tops[:, None] + corner):
-            if buf[i] and _PEEL[_codes(buf[i + ring])]:
-                buf[i] = False
+        for i in np.unique(tops[:, None] + corner).tolist():
+            if px[i] and _PEEL[_code(px, i, w)]:
+                px[i] = False
                 changed = True
         if not changed:
             return
@@ -373,25 +422,35 @@ def thin_to_convergence(img):
 
     A pixel's deletability under a step changes only when its 3x3
     neighborhood does, so after the first pass a subiteration re-tests just
-    the foreground pixels next to the previous two subiterations' deletions."""
+    the foreground pixels next to the previous two subiterations' deletions
+    (touched). It finds and tests them in one of three regimes, by how many
+    indices were touched; see _FEW_TOUCHED and _DENSE_SHARE."""
     grid, ring = _bordered(img)
     buf = grid.reshape(-1)
-    stamp = np.empty(buf.size, dtype=np.intp)
-    touched = [None, None]  # neighbors of the last two subiterations' deletions
-    while True:
+    px, w, ring_list = memoryview(buf), grid.shape[1], ring.tolist()
+    mark = np.zeros(buf.size, dtype=bool)  # scratch for _marked
+    stamp = np.empty(buf.size, dtype=np.intp)  # scratch for _distinct
+    # the first pass tests every pixel; touched holds the neighbors of the
+    # last two subiterations' deletions
+    touched = [_zs_delete(buf, np.flatnonzero(buf), ring, table) for table in _ZS_TABLES]
+    changed = any(map(len, touched))
+    while changed:
         changed = False
-        for step in (1, 2):
-            if touched[0] is None:
-                cand = np.flatnonzero(buf)  # the first pass tests every pixel
+        for step in (0, 1):
+            n = len(touched[0]) + len(touched[1])
+            if n <= _FEW_TOUCHED:
+                cand = [i for i in set(touched[0]).union(touched[1]) if px[i]]
+                around = _zs_delete_few(px, cand, w, ring_list, _ZS_LISTS[step])
             else:
-                cand = _distinct(np.concatenate(touched), stamp)
-                cand = cand[buf[cand]]
-            around = _zs_delete(grid, cand, ring, _ZS_TABLES[step])
-            touched = [touched[1], around.ravel()]
-            changed = changed or around.size > 0
-        if not changed:
-            break
-    _peel_square_blocks(grid, ring)
+                if n * _DENSE_SHARE > buf.size:
+                    cand = _marked(buf, touched, mark)
+                else:
+                    cand = _distinct(np.concatenate(touched), stamp)
+                    cand = cand[buf[cand]]
+                around = _zs_delete(buf, cand, ring, _ZS_TABLES[step])
+            touched = [touched[1], around]
+            changed = changed or len(around) > 0
+    _peel_square_blocks(grid)
     return grid[1:-1, 1:-1].copy()
 
 
@@ -427,7 +486,7 @@ def prune(img, max_spur):
     while changed:
         changed = False
         fg = np.flatnonzero(buf)
-        counts = buf[fg[:, None] + ring].sum(axis=1)
+        counts = buf[ring[:, None] + fg].view(np.uint8).sum(axis=0, dtype=np.uint8)
         ends = fg[counts == 1]
         (er, ec), (fr, fc) = np.divmod(ends, w), np.divmod(fg[counts >= 3], w)
         near = (abs(er[:, None] - fr) < max_spur) & (abs(ec[:, None] - fc) < max_spur)

@@ -554,6 +554,24 @@ class TestPredictCommand:
         assert cli.main(["--quiet", "predict", img, broken]) == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("damage", ["last three lines lost", "not UTF-8", "missing"])
+    def test_model_file_errors_name_the_file_once(self, workspace, tmp_path, capsys, damage):
+        corpus, models = workspace
+        broken = copy_models(models, tmp_path)
+        path = os.path.join(broken, "full_mid.mlp")
+        if damage == "missing":
+            os.remove(path)
+        else:
+            lines = open(path).read().splitlines()
+            data = "\n".join(lines[:-3]).encode() if damage == "last three lines lost" else b"DEVOC-MLP v1\n\xff\n"
+            open(path, "wb").write(data + b"\n")
+        img = os.path.join(corpus, synth.read_manifest(corpus)[0].path)
+        assert cli.main(["--quiet", "predict", img, broken]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count(path) == 1
+        if damage == "last three lines lost":
+            assert err == "error: %s: expected 1443 parameters, found 1440\n" % path
+
     def predict_with_broken(self, workspace, tmp_path, name, data):
         corpus, models = workspace
         broken = copy_models(models, tmp_path)

@@ -370,9 +370,21 @@ class TestAnalyzeCorpus:
         "cpus, n_samples, workers",
         [(8, 0, 1), (8, 256, 1), (8, 449, 2), (8, 64 * 40, 8), (1, 64 * 40, 1), (3, 64 * 12, 3)],
     )
-    def test_default_is_one_worker_per_cpu_and_per_4_batches(self, monkeypatch, cpus, n_samples, workers):
+    def test_default_is_one_worker_per_cpu_and_per_4_batches(self, monkeypatch, tmp_path, cpus, n_samples, workers):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(pipeline, "CPU_MAX", str(tmp_path / "no-cpu.max"))  # no quota
         assert pipeline.corpus_workers(n_samples) == workers
+
+    @pytest.mark.parametrize(
+        "cpu_max, workers", [("max 100000", 8), ("150000 100000", 2), ("50000 100000", 1), (None, 8)]
+    )
+    def test_a_cgroup_cpu_quota_caps_the_workers(self, monkeypatch, tmp_path, cpu_max, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max + "\n")
+        monkeypatch.setattr(pipeline, "CPU_MAX", str(path))
+        assert pipeline.corpus_workers(64 * 40) == workers
 
     def test_no_worker_outlives_train_all(self, templates, monkeypatch):
         monkeypatch.setattr(pipeline, "corpus_workers", lambda n: 2)
@@ -423,3 +435,13 @@ class TestLoadCorpus:
         assert len(samples) == 6
         with pytest.raises(raster.RasterError, match="cannot read"):
             samples[0].image
+
+    def test_naming_prefixes_a_path_the_error_does_not_name(self, tmp_path):
+        missing = str(tmp_path / "gone.pbm")
+        with pytest.raises(raster.RasterError) as info:
+            with pipeline.naming(missing):
+                raster.load_image(missing)
+        assert str(info.value).count(missing) == 1
+        with pytest.raises(raster.DimensionMismatchError, match="^x.pbm: short$"):
+            with pipeline.naming("x.pbm"):
+                raise raster.DimensionMismatchError("short")

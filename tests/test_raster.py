@@ -579,6 +579,27 @@ def random_array(h, w, density, seed):
     return np.random.default_rng(seed).random((h, w)) < density
 
 
+def diagonal_band(n, size):
+    """A size x size canvas holding an n-px diagonal band 2 px wide."""
+    img = np.zeros((size, size), dtype=bool)
+    k = np.arange(n)
+    img[2 + k, 2 + k] = img[2 + k, 3 + k] = True
+    return img
+
+
+def counting(monkeypatch, name):
+    """Patch raster.<name> to record each call; returns the record."""
+    calls = []
+    fn = getattr(raster, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(raster, name, counted)
+    return calls
+
+
 class TestThinMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 48), st.integers(1, 48), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
@@ -591,8 +612,8 @@ class TestThinMatchesReference:
         # raw random arrays are full of 2x2 blocks, which thinned glyphs
         # almost never keep, so this is where the cleanup does its work
         img = random_array(h, w, density, seed)
-        grid, ring = raster._bordered(img)
-        raster._peel_square_blocks(grid, ring)
+        grid = raster._bordered(img)[0]
+        raster._peel_square_blocks(grid)
         expect = img.copy()
         reference_dissolve(expect)
         assert np.array_equal(grid[1:-1, 1:-1].view(bool), expect)
@@ -629,16 +650,96 @@ class TestThinMatchesReference:
         assert np.array_equal(out, reference_thin(img))
         assert out[8:10, 12:14].sum() == 1
 
+    def test_two_pixel_diagonal_erodes_one_pixel_per_python_subiteration(self, monkeypatch):
+        # Zhang-Suen eats one pixel of a 2-px diagonal per subiteration, so
+        # nearly every subiteration after the first pass runs over Python ints
+        img = diagonal_band(80, 85)
+        few = counting(monkeypatch, "_zs_delete_few")
+        out = raster.thin_to_convergence(img)
+        assert len(few) >= 70
+        assert out.sum() == 2
+        assert np.array_equal(out, reference_thin(img))
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_python_subiteration_spares_an_isolated_square(self, monkeypatch, step):
+        # every pixel of an isolated 2x2 square is deletable at once; the
+        # Python subiteration must put back its raster-first pixel, as the
+        # numpy one and the oracle do
+        img = np.zeros((6, 7), dtype=bool)
+        img[2:4, 3:5] = True
+        spares = counting(monkeypatch, "_spare_doomed")
+        grid, ring = raster._bordered(img)
+        buf = grid.reshape(-1)
+        cand = np.flatnonzero(buf)
+        around = raster._zs_delete_few(
+            memoryview(buf), cand.tolist(), grid.shape[1], ring.tolist(), raster._ZS_LISTS[step - 1]
+        )
+        assert spares
+        expect = img.copy()
+        assert _reference_subpass(expect, step)
+        assert np.array_equal(grid[1:-1, 1:-1], expect)
+        assert np.argwhere(expect).tolist() == [[2, 3]]
+        numpy_grid = raster._bordered(img)[0]
+        numpy_around = raster._zs_delete(numpy_grid.reshape(-1), cand, ring, raster._ZS_TABLES[step - 1])
+        assert np.array_equal(numpy_grid, grid)
+        assert sorted(around) == sorted(numpy_around.tolist())
+
+    def test_thick_pen_glyphs_take_the_mark_scan(self, templates, monkeypatch):
+        # perfbench's pen: 2x replication, then one 3x3 dilation
+        marked = counting(monkeypatch, "_marked")
+        for s in synth.generate_corpus(templates, 1, amplitude=2, seed=3):
+            thick = raster.thicken(np.repeat(np.repeat(s.image, 2, axis=0), 2, axis=1))
+            before = len(marked)
+            assert_matches_reference(raster.thicken(raster.crop(thick, raster.bounding_box(thick))))
+            assert len(marked) > before
+            assert not marked[-1][2].any()  # the scan leaves its bool grid all False
+
+    @pytest.mark.parametrize("piece", ["band", "block"])
+    def test_huge_canvas_never_scans_the_whole_grid_per_subiteration(self, monkeypatch, piece):
+        # on a 2,000 x 2,000 canvas no subiteration touches 1/_DENSE_SHARE of
+        # the grid, so none runs a mark scan: the band's subiterations run
+        # over Python ints, a solid block's sort out repeats with _distinct
+        if piece == "band":
+            small, regime, least = diagonal_band(80, 85), "_zs_delete_few", 70
+        else:
+            small, regime, least = np.zeros((44, 44), dtype=bool), "_distinct", 10
+            small[2:42, 2:42] = True
+        img = np.zeros((2000, 2000), dtype=bool)
+        img[1000 : 1000 + small.shape[0], 1500 : 1500 + small.shape[1]] = small
+        calls = {name: counting(monkeypatch, name) for name in ("_marked", "_distinct", "_zs_delete_few")}
+        out = raster.thin_to_convergence(img)
+        assert not calls["_marked"]
+        assert len(calls[regime]) >= least
+        expect = np.zeros_like(img)
+        expect[1000 : 1000 + small.shape[0], 1500 : 1500 + small.shape[1]] = reference_thin(small)
+        assert np.array_equal(out, expect)
+
+    @pytest.mark.parametrize(
+        "few, dense_share", [(10**9, 1), (0, 10**9), (0, 0)], ids=["python", "mark-scan", "distinct"]
+    )
+    def test_each_regime_alone_matches_reference(self, monkeypatch, few, dense_share):
+        # every subiteration after the first pass forced into one regime
+        monkeypatch.setattr(raster, "_FEW_TOUCHED", few)
+        monkeypatch.setattr(raster, "_DENSE_SHARE", dense_share)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            h, w = rng.integers(1, 40, size=2)
+            assert_matches_reference(random_array(h, w, rng.uniform(0.05, 0.95), seed))
+        assert_matches_reference(diagonal_band(30, 35))
+
 
 def test_numpy_alone_is_enough():
     # scipy is blocked, so importing it anywhere in devoc fails; the isolated
-    # 2x2 square makes thinning take the vanishing-component path
+    # 2x2 square makes thinning take the vanishing-component path, and the
+    # 2-px diagonal band the subiterations over Python ints
     code = (
         "import sys; sys.modules['scipy'] = None\n"
         "import numpy as np, devoc.cli\n"
         "from devoc import raster\n"
         "img = np.zeros((12, 30), dtype=bool); img[2:5, 2:28] = True; img[8:10, 12:14] = True\n"
         "assert raster.thin_to_convergence(img)[8:10, 12:14].sum() == 1\n"
+        "band = np.zeros((85, 85), dtype=bool); k = np.arange(80); band[2 + k, 2 + k] = band[2 + k, 3 + k] = True\n"
+        "assert raster.thin_to_convergence(band).sum() == 2\n"
     )
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
