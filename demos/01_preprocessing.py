@@ -1,7 +1,8 @@
 """Walk one glyph through the raster pipeline stage by stage.
 
-Renders a synthetic character, then shows what crop/thicken/thin/prune and
-the final 100x100 normalization each do to it. Run from the repo root:
+Renders a synthetic character, then shows what crop-to-ink, thicken, thin,
+prune and the final 100x100 normalization each do to it. Run from the repo
+root:
 
     python3 demos/01_preprocessing.py
 """
@@ -36,7 +37,7 @@ def main():
     page = raster.thicken(raster.thicken(page))
     show("simulated scan (thick, off-center)", page)
 
-    cropped = raster.crop(page, raster.bounding_box(page))
+    cropped = raster.crop_to_ink(page)
     thin = raster.thin_to_convergence(cropped)
     show("thinned back to one pixel wide", thin)
     print("one pixel wide?", not (thin[:-1, :-1] & thin[1:, :-1] & thin[:-1, 1:] & thin[1:, 1:]).any())
@@ -46,8 +47,8 @@ def main():
 
     norm = raster.normalize(pruned)
     show("normalized to 100x100", norm)
-    box = raster.bounding_box(norm)
-    print("bounding box after normalize:", box)
+    rows, cols = np.flatnonzero(norm.any(axis=1)), np.flatnonzero(norm.any(axis=0))
+    print("ink rows %d..%d, columns %d..%d of 0..%d" % (rows[0], rows[-1], cols[0], cols[-1], raster.NORM_SIZE - 1))
 
 
 if __name__ == "__main__":

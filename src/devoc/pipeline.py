@@ -73,7 +73,7 @@ def preprocess_glyph(img, cfg=None):
     """Binarized image -> 100x100 one-pixel-wide skeleton (crop, thicken,
     thin, prune, normalize which re-thins)."""
     cfg = cfg or Config()
-    g = raster.crop(img, raster.bounding_box(img))  # EmptyImageError on blank
+    g = raster.crop_to_ink(img)  # EmptyImageError on blank
     g = raster.thicken(g)
     g = raster.thin_to_convergence(g)
     g = raster.prune(g, cfg.max_spur)
@@ -472,6 +472,11 @@ def load_modelset(dirpath):
             structural.parse_group_name(key)
         except ValueError as exc:
             raise MalformedModelSetError("bad modelset line %r: %s" % (line, exc))
+        # only the names save_modelset writes, so no line reads a file elsewhere
+        if fname != "%s.mlp" % key:
+            raise MalformedModelSetError("bad modelset line %r: the model of %s is %s.mlp" % (line, key, key))
+        if key in modelset.models:
+            raise MalformedModelSetError("bad modelset line %r: %s is listed twice" % (line, key))
         path = os.path.join(dirpath, fname)
         with naming(path, nn.NnError):
             net, labels = nn.load_model(path)

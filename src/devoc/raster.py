@@ -4,7 +4,7 @@ Images are 2-D numpy bool arrays, shape (height, width), True = foreground
 ink. All functions are pure and never modify their arguments.
 
 The preprocessing chain turns a raw glyph into a 100x100 one-pixel-wide
-skeleton: bounding-box crop -> thicken -> thin -> prune -> normalize
+skeleton: crop to the ink -> thicken -> thin -> prune -> normalize
 (which re-thins after scaling).
 """
 
@@ -16,7 +16,6 @@ import itertools
 import operator
 import os
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,18 +36,6 @@ class DimensionMismatchError(RasterError):
 
 class EmptyImageError(RasterError):
     pass
-
-
-class BoxOutOfRangeError(RasterError):
-    pass
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    row_min: int
-    row_max: int
-    col_min: int
-    col_max: int
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +186,13 @@ def check_text_fields(fields, where):
 # Geometry
 
 
-def bounding_box(img):
-    """Tight rectangle around all foreground pixels."""
+def crop_to_ink(img):
+    """A copy of img cut to the rows and columns that hold foreground."""
     rows = np.flatnonzero(img.any(axis=1))
     if rows.size == 0:
         raise EmptyImageError("image has no foreground pixels")
     cols = np.flatnonzero(img.any(axis=0))
-    return BoundingBox(int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))
-
-
-def crop(img, box):
-    h, w = img.shape
-    if not (0 <= box.row_min <= box.row_max < h and 0 <= box.col_min <= box.col_max < w):
-        raise BoxOutOfRangeError("box %r exceeds %dx%d image" % (box, h, w))
-    return img[box.row_min : box.row_max + 1, box.col_min : box.col_max + 1].copy()
+    return img[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1].copy()
 
 
 # 8-neighbor offsets in Zhang-Suen order P2..P9 (N, NE, E, SE, S, SW, W, NW)
@@ -524,24 +504,18 @@ def _axis_scale(img, axis, target):
 
 
 def normalize(img):
-    """Crop to the bounding box, scale to NORM_SIZE square (forward block
-    mapping, the nearest-neighbor inverse map), then re-thin to one-pixel width.
+    """Crop to the ink, scale to NORM_SIZE square (forward block mapping, the
+    nearest-neighbor inverse map), then re-thin to one-pixel width.
 
     Thinning erodes blunt stroke ends, which at large upscales can pull the
     skeleton more than a pixel off the frame edges; a couple of crop/rescale
-    passes stretch it back so the result fills the frame again."""
-    box = bounding_box(img)  # raises EmptyImageError on blank input
-    glyph = crop(img, box)
+    passes stretch it back so the result fills the frame again: it does when
+    each edge has ink within two pixels of it."""
+    glyph = crop_to_ink(img)  # raises EmptyImageError on blank input
     for _ in range(3):
         scaled = _axis_scale(_axis_scale(glyph, 0, NORM_SIZE), 1, NORM_SIZE)
         skel = thin_to_convergence(scaled)
-        box = bounding_box(skel)
-        if (
-            box.row_min <= 1
-            and box.col_min <= 1
-            and box.row_max >= NORM_SIZE - 2
-            and box.col_max >= NORM_SIZE - 2
-        ):
+        if skel[:2].any() and skel[-2:].any() and skel[:, :2].any() and skel[:, -2:].any():
             break
-        glyph = crop(skel, box)
+        glyph = crop_to_ink(skel)
     return skel

@@ -56,6 +56,13 @@ def has_full_2x2_block(img):
     return False
 
 
+def ink_box(img):
+    """(row_min, row_max, col_min, col_max): the rows and columns that hold
+    img's foreground."""
+    rows, cols = np.flatnonzero(img.any(axis=1)), np.flatnonzero(img.any(axis=0))
+    return rows[0], rows[-1], cols[0], cols[-1]
+
+
 def random_blobs(rng, size=200, n_discs=8, max_radius=14):
     """Union of random filled discs; the staple input for thinning checks."""
     img = np.zeros((size, size), dtype=bool)

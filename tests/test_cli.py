@@ -585,6 +585,27 @@ class TestPredictCommand:
         assert self.predict_with_broken(workspace, tmp_path, "modelset.txt", data) == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "fname", ["full_mid.mlp", "../elsewhere.mlp", "{tmp}/elsewhere.mlp", "../passwd"],
+        ids=["another group's file", "a model beside the set", "an absolute path", "a file that is no model"],
+    )
+    def test_modelset_names_only_its_own_model_files(self, workspace, tmp_path, capsys, fname):
+        models = workspace[1]
+        shutil.copy(os.path.join(models, "full_end.mlp"), str(tmp_path / "elsewhere.mlp"))
+        (tmp_path / "passwd").write_text("root:x:0:0:root:/root:/bin/sh\n")
+        fname = fname.format(tmp=tmp_path)
+        manifest = open(os.path.join(models, "modelset.txt")).read()
+        assert "\nfull_end full_end.mlp\n" in manifest
+        data = manifest.replace("\nfull_end full_end.mlp\n", "\nfull_end %s\n" % fname)
+        assert self.predict_with_broken(workspace, tmp_path, "modelset.txt", data.encode()) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err == "error: bad modelset line 'full_end %s': the model of full_end is full_end.mlp\n" % fname
+
+    def test_modelset_listing_a_group_twice_is_io_error(self, workspace, tmp_path, capsys):
+        data = open(os.path.join(workspace[1], "modelset.txt")).read() + "full_end full_end.mlp\n"
+        assert self.predict_with_broken(workspace, tmp_path, "modelset.txt", data.encode()) == cli.EXIT_IO
+        assert capsys.readouterr().err == "error: bad modelset line 'full_end full_end.mlp': full_end is listed twice\n"
+
     def test_non_utf8_modelset_is_io_error(self, workspace, tmp_path, capsys):
         data = b"DEVOC-MODELSET v1\nfull_end full_\xff.mlp\n"
         assert self.predict_with_broken(workspace, tmp_path, "modelset.txt", data) == cli.EXIT_IO

@@ -19,7 +19,7 @@ from devoc.pipeline import (
     MalformedModelSetError,
 )
 
-from conftest import has_full_2x2_block
+from conftest import has_full_2x2_block, ink_box
 
 
 def tiny_corpus(templates, per_class=10, amplitude=0, seed=0):
@@ -52,8 +52,8 @@ class TestPreprocess:
         img[100, 50:80] = True
         img[100:120, 79] = True
         out = pipeline.preprocess_glyph(img)
-        box = raster.bounding_box(out)
-        assert box.row_max - box.row_min > 90 or box.col_max - box.col_min > 90
+        row_min, row_max, col_min, col_max = ink_box(out)
+        assert row_max - row_min > 90 or col_max - col_min > 90
 
 
 class TestAnalyze:

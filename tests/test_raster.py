@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from devoc import raster, synth
-from devoc.raster import (
-    BoundingBox,
-    BoxOutOfRangeError,
-    DimensionMismatchError,
-    EmptyImageError,
-    MalformedHeaderError,
-)
+from devoc.raster import DimensionMismatchError, EmptyImageError, MalformedHeaderError
 
-from conftest import brute_neighbor_count, flood_fill_components, has_full_2x2_block, random_blobs, random_skeleton
+from conftest import (
+    brute_neighbor_count,
+    flood_fill_components,
+    has_full_2x2_block,
+    ink_box,
+    random_blobs,
+    random_skeleton,
+)
 
 
 def write(tmp_path, name, data):
@@ -268,31 +269,31 @@ class TestGeometry:
     def test_bbox_single_pixel(self):
         img = np.zeros((10, 10), dtype=bool)
         img[5, 7] = True
-        assert raster.bounding_box(img) == BoundingBox(5, 5, 7, 7)
+        assert raster.crop_to_ink(img).tolist() == [[True]]
 
     def test_bbox_two_pixels(self):
         img = np.zeros((12, 25), dtype=bool)
         img[2, 3] = img[10, 20] = True
-        assert raster.bounding_box(img) == BoundingBox(2, 10, 3, 20)
+        expect = np.zeros((9, 18), dtype=bool)
+        expect[0, 0] = expect[-1, -1] = True
+        assert np.array_equal(raster.crop_to_ink(img), expect)
 
     def test_bbox_empty(self):
         with pytest.raises(EmptyImageError):
-            raster.bounding_box(np.zeros((4, 4), dtype=bool))
+            raster.crop_to_ink(np.zeros((4, 4), dtype=bool))
 
     def test_crop_identity(self):
         img = np.random.default_rng(0).random((6, 8)) < 0.5
-        out = raster.crop(img, BoundingBox(0, 5, 0, 7))
+        img[0, 0] = img[-1, -1] = True  # ink in the first and last row and column
+        out = raster.crop_to_ink(img)
         assert np.array_equal(out, img)
+        out[0, 0] = False
+        assert img[0, 0]  # a copy, not a view
 
     def test_crop_single(self):
         img = np.zeros((3, 3), dtype=bool)
         img[0, 0] = True
-        assert raster.crop(img, BoundingBox(0, 0, 0, 0)).tolist() == [[True]]
-
-    def test_crop_out_of_range(self):
-        img = np.zeros((3, 3), dtype=bool)
-        with pytest.raises(BoxOutOfRangeError):
-            raster.crop(img, BoundingBox(0, 3, 0, 2))
+        assert raster.crop_to_ink(img).tolist() == [[True]]
 
     def test_neighbor_count_examples(self):
         img = np.zeros((5, 5), dtype=bool)
@@ -563,6 +564,29 @@ def reference_normalize(img):
         return raster.normalize(img)
 
 
+def box_loop_normalize(img):
+    """normalize's loop over an explicit bounding box: crop to it, and stop
+    once it reaches within one pixel of every frame edge."""
+    r0, r1, c0, c1 = ink_box(img)
+    glyph = img[r0 : r1 + 1, c0 : c1 + 1]
+    for _ in range(3):
+        scaled = raster._axis_scale(raster._axis_scale(glyph, 0, raster.NORM_SIZE), 1, raster.NORM_SIZE)
+        skel = raster.thin_to_convergence(scaled)
+        r0, r1, c0, c1 = ink_box(skel)
+        if r0 <= 1 and c0 <= 1 and r1 >= raster.NORM_SIZE - 2 and c1 >= raster.NORM_SIZE - 2:
+            break
+        glyph = skel[r0 : r1 + 1, c0 : c1 + 1]
+    return skel
+
+
+def block_or(img, k):
+    """img shrunk k times: each output pixel ORs a k x k block."""
+    h, w = img.shape
+    padded = np.zeros((-(-h // k) * k, -(-w // k) * k), dtype=bool)
+    padded[:h, :w] = img
+    return padded.reshape(padded.shape[0] // k, k, padded.shape[1] // k, k).any(axis=(1, 3))
+
+
 def assert_matches_reference(img):
     out = raster.thin_to_convergence(img)
     assert out.dtype == bool
@@ -622,7 +646,7 @@ class TestThinMatchesReference:
         for s in synth.generate_corpus(templates, 2, amplitude=2):
             thick = raster.thicken(np.repeat(np.repeat(s.image, 2, axis=0), 2, axis=1))
             for img in (s.image, thick):
-                glyph = raster.thicken(raster.crop(img, raster.bounding_box(img)))
+                glyph = raster.thicken(raster.crop_to_ink(img))
                 assert_matches_reference(glyph)
                 skel = raster.thin_to_convergence(glyph)
                 for max_spur in (1, 3, 6):
@@ -690,7 +714,7 @@ class TestThinMatchesReference:
         for s in synth.generate_corpus(templates, 1, amplitude=2, seed=3):
             thick = raster.thicken(np.repeat(np.repeat(s.image, 2, axis=0), 2, axis=1))
             before = len(marked)
-            assert_matches_reference(raster.thicken(raster.crop(thick, raster.bounding_box(thick))))
+            assert_matches_reference(raster.thicken(raster.crop_to_ink(thick)))
             assert len(marked) > before
             assert not marked[-1][2].any()  # the scan leaves its bool grid all False
 
@@ -813,10 +837,10 @@ class TestNormalize:
         out = raster.normalize(img)
         assert out.shape == (100, 100)
         assert not has_full_2x2_block(out)
-        box = raster.bounding_box(out)
+        row_min, row_max, col_min, col_max = ink_box(out)
         # re-thinning may erode at most one pixel per edge
-        assert box.row_min <= 1 and box.col_min <= 1
-        assert box.row_max >= 98 and box.col_max >= 98
+        assert row_min <= 1 and col_min <= 1
+        assert row_max >= 98 and col_max >= 98
 
     def test_identity_scale_on_stable_skeleton(self):
         img = np.zeros((100, 100), dtype=bool)
@@ -856,3 +880,19 @@ class TestNormalize:
     def test_empty_raises(self):
         with pytest.raises(EmptyImageError):
             raster.normalize(np.zeros((10, 10), dtype=bool))
+
+    def test_matches_the_box_loop(self, templates, monkeypatch):
+        # glyphs shrunk 2x or 3x come back from the first upscale and thinning
+        # off the frame edges, so normalize crops and rescales them again
+        thins = counting(monkeypatch, "thin_to_convergence")
+        passes = []
+        inputs = [random_array(h, h + 7, 0.1, h) for h in range(3, 60, 4)]
+        for s in synth.generate_corpus(templates, 3, amplitude=2, seed=4):
+            thick = raster.thicken(np.repeat(np.repeat(s.image, 2, axis=0), 2, axis=1))
+            inputs += [s.image, thick, block_or(s.image, 2), block_or(s.image, 3)]
+        for img in inputs:
+            expect = box_loop_normalize(img)
+            before = len(thins)
+            assert np.array_equal(raster.normalize(img), expect)
+            passes.append(len(thins) - before)
+        assert {1, 2, 3} <= set(passes)
