@@ -41,7 +41,11 @@ class Config(StructuralConfig, TrainConfig):
     per_class: int = 100
 
     def validate(self):
-        super().validate()
+        # each base validates its own fields and neither chains to the other
+        StructuralConfig.validate(self)
+        TrainConfig.validate(self)
+        if self.max_spur < 0:
+            raise ValueError("max_spur must be >= 0")
         if not self.feature_cap > 0:
             raise ValueError("feature_cap must be positive")
 

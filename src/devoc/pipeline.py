@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import os
 import re
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -170,15 +171,20 @@ def naming(path, errors=raster.RasterError):
 
 
 def _analyze_batch(batch, cfg):
-    """The RecordedAnalysis of each sample of one batch, in order: each
-    image is read and analysed before the next is read."""
-    records = []
-    for s in batch:
+    """(digests, groups, raw) of one batch, in sample order: each image's
+    digest, its detected group's name, and an (n, 32) int64 array of the
+    raw feature counts, a row per sample. Each image is read and analysed
+    before the next is read."""
+    digests, groups = [], []
+    raw = np.empty((len(batch), features.N_FEATURES), dtype=np.int64)
+    for i, s in enumerate(batch):
         with naming(s.path):
             img = s.image
             analysis = analyze_glyph(img, cfg)
-        records.append(RecordedAnalysis(_digest(img), analysis.group, analysis.raw_features))
-    return records
+        digests.append(_digest(img))
+        groups.append(structural.group_name(analysis.group))
+        raw[i] = analysis.raw_features
+    return digests, groups, raw
 
 
 def _can_fork():
@@ -220,21 +226,33 @@ def corpus_workers(n_samples):
 
 
 def analyze_corpus(samples, cfg=None):
-    """(records, workers): one RecordedAnalysis per sample, in input order,
-    and the number of processes that made them, corpus_workers(len(samples)).
-    The samples are cut into BATCH batches, each analysed by one worker
-    process that reads its own images, so a file-backed batch pickles only
-    paths; at one worker the batches run in-process. The records do not
-    depend on the worker count. A worker that dies raises WorkerDiedError
-    naming the first batch, in input order, left unanalysed (not always the
-    one the dead worker held); any other error of a batch is raised as it
-    was. Either way the pending batches are cancelled and every worker has
-    exited first."""
+    """(digests, groups, raw, workers): per sample, in input order, its
+    image digest, its detected group's name and a row of the (n, 32) int64
+    array raw of its feature counts, and the number of processes that made
+    them, corpus_workers(len(samples)). The samples are cut into BATCH
+    batches, each analysed by one worker process that reads its own images,
+    so a file-backed batch pickles only paths; at one worker the batches run
+    in-process. The results do not depend on the worker count. A worker
+    that dies raises WorkerDiedError naming the first batch, in input order,
+    left unanalysed (not always the one the dead worker held); any other
+    error of a batch is raised as it was. Either way the pending batches are
+    cancelled and every worker has exited first."""
     cfg = cfg or Config()
-    batches = [samples[i : i + BATCH] for i in range(0, len(samples), BATCH)]
+    starts = range(0, len(samples), BATCH)
     jobs = corpus_workers(len(samples))
+    digests, groups = [], []
+    raw = np.empty((len(samples), features.N_FEATURES), dtype=np.int64)
+
+    def keep(start, batch_result):
+        batch_digests, batch_groups, batch_raw = batch_result
+        digests.extend(batch_digests)
+        groups.extend(map(sys.intern, batch_groups))  # a pooled batch brings its own copies
+        raw[start : start + len(batch_raw)] = batch_raw
+
     if jobs <= 1:
-        return [rec for batch in batches for rec in _analyze_batch(batch, cfg)], 1
+        for start in starts:
+            keep(start, _analyze_batch(samples[start : start + BATCH], cfg))
+        return digests, groups, raw, 1
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -243,18 +261,17 @@ def analyze_corpus(samples, cfg=None):
     # forks every worker before it starts its own threads
     pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(_analyze_batch, batch, cfg) for batch in batches]
-        records = []
-        for batch, future in zip(batches, futures):
+        futures = [pool.submit(_analyze_batch, samples[start : start + BATCH], cfg) for start in starts]
+        for start, future in zip(starts, futures):
             try:
-                records += future.result()
+                keep(start, future.result())
             except BrokenProcessPool:
                 # the pool breaks every unfinished batch, not only the one
                 # the dead worker held
                 raise WorkerDiedError(
-                    "a worker process died; the batches from %s on were not analysed" % batch[0].path
+                    "a worker process died; the batches from %s on were not analysed" % samples[start].path
                 ) from None
-        return records, jobs
+        return digests, groups, raw, jobs
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -277,23 +294,18 @@ def train_all(samples, cfg=None, analysed=None, say=None):
     cfg = cfg or Config()
     _check_corpus(samples)
     train = [s for s in samples if s.split == "train"]
-    records, workers = analyze_corpus(train, cfg)
+    digests, groups, raw, workers = analyze_corpus(train, cfg)
     if say is not None:
         say("analysed %d train glyphs in %d worker process(es)" % (len(train), workers))
-    by_group = {}
-    routing_log = []
-    for s, rec in zip(train, records):
-        if analysed is not None:
-            analysed[s.path] = rec
-        key = structural.group_name(rec.group)
-        if key != s.group:
-            routing_log.append((s.path, s.group, key))
-        by_group.setdefault(key, []).append((rec.raw_features, s.class_label))
+    routing_log = [(s.path, s.group, key) for s, key in zip(train, groups) if key != s.group]
     manifest_groups = {s.group for s in samples}
     modelset = GroupModelSet()
     reports = {}
+    by_group = {}
+    for i, key in enumerate(groups):
+        by_group.setdefault(key, []).append(i)
     for key, rows in sorted(by_group.items()):
-        labels = sorted({label for _, label in rows})
+        labels = sorted({train[i].class_label for i in rows})
         if len(labels) < 2:
             if key in manifest_groups:
                 raise InsufficientDataError(key, "detected group %r has a single class" % key)
@@ -303,14 +315,17 @@ def train_all(samples, cfg=None, analysed=None, say=None):
                 say("skipped detected group %s: %d glyph(s) of a single class" % (key, len(rows)))
             continue
         index = {label: i for i, label in enumerate(labels)}
-        x = np.array([features.scale_features(vec, cfg.feature_cap) for vec, _ in rows])
+        x = features.scale_features(raw[rows], cfg.feature_cap)
         y = np.zeros((len(rows), len(labels)))
-        for i, (_, label) in enumerate(rows):
-            y[i, index[label]] = 1.0
+        for j, i in enumerate(rows):
+            y[j, index[train[i].class_label]] = 1.0
         net = nn.init_mlp(cfg.n_hidden, len(labels), seed=synth.mix_seed(cfg.seed, key))
         net, report = nn.train(net, x, y, cfg)
         modelset.models[key] = (net, labels)
         reports[key] = report
+    if analysed is not None:  # filled after training, so its records are not held through it
+        for s, digest, key, vec in zip(train, digests, groups, raw):
+            analysed[s.path] = RecordedAnalysis(digest, structural.parse_group_name(key), vec)
     return modelset, reports, routing_log
 
 
@@ -318,7 +333,7 @@ def train_all(samples, cfg=None, analysed=None, say=None):
 # Evaluation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleRecord:
     path: str
     true_label: str
@@ -490,7 +505,7 @@ def load_modelset(dirpath):
 # The stage-one record of the train glyphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordedAnalysis:
     digest: str  # of the decoded image, see _digest
     group: structural.StructuralClass
@@ -543,15 +558,17 @@ def load_train_analysis(dirpath, cfg):
         return {}
     if lines[1:2] != [_RECORD_COLUMNS] or lines[-1] != "":
         raise MalformedModelSetError("%s: bad column line or no final newline" % path)
-    rows, counts = [], []
-    for lineno, line in enumerate(lines[2:-1], 3):
+    body = lines[2:-1]
+    raw = np.empty((len(body), features.N_FEATURES), dtype=np.int64)
+    records = {}
+    for i, line in enumerate(body):
         m = _RECORD_ROW.fullmatch(line)
         if m is None:
-            raise MalformedModelSetError("%s:%d: bad row" % (path, lineno))
+            raise MalformedModelSetError("%s:%d: bad row" % (path, i + 3))
         try:
-            rows.append((m[1], m[2], structural.parse_group_name(m[3])))
+            group = structural.parse_group_name(m[3])
         except ValueError as exc:
-            raise MalformedModelSetError("%s:%d: %s" % (path, lineno, exc))
-        counts.append(m.groups()[3:])
-    raw = np.array(counts, dtype=np.int64)
-    return {rel: RecordedAnalysis(digest, group, vec) for (rel, digest, group), vec in zip(rows, raw)}
+            raise MalformedModelSetError("%s:%d: %s" % (path, i + 3, exc))
+        raw[i] = m.groups()[3:]
+        records[m[1]] = RecordedAnalysis(m[2], group, raw[i])
+    return records

@@ -9,9 +9,11 @@ classifier.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import statistics
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -77,7 +79,7 @@ class SpineResult:
     too_many: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructuralClass:
     shirorekha: ShirorekhaKind
     spine: SpineKind
@@ -103,13 +105,30 @@ class StructuralConfig:
     # every column it spans; kept so that config files setting it still load
     max_gap: int = 2
 
+    def validate(self):
+        """Raise ValueError on a setting stage one cannot use: a fraction
+        outside [0, 1], partial_span above full_span, or a negative count."""
+        for name in ("drift_tol_frac", "full_span", "partial_span", "spine_height_frac"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError("%s must be in [0, 1]" % name)
+        if self.partial_span > self.full_span:
+            raise ValueError("partial_span must not exceed full_span")
+        for name in ("step_tol", "mid_mass_tol", "max_consecutive_up", "max_gap"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be >= 0" % name)
+
 
 def group_name(sc):
-    """Stable short key for a structural class, e.g. 'full_end'."""
-    return "%s_%s" % (sc.shirorekha.value, sc.spine.value)
+    """Stable short key for a structural class, e.g. 'full_end'. Equal
+    classes get the same string object, so the records of many glyphs share
+    one name per group."""
+    return sys.intern("%s_%s" % (sc.shirorekha.value, sc.spine.value))
 
 
+@functools.cache
 def parse_group_name(name):
+    """The StructuralClass of a group_name; each of the seven names parses
+    to one shared object. Raises ValueError on any other string."""
     try:
         shiro, spine = name.split("_")
         return StructuralClass(ShirorekhaKind(shiro), SpineKind(spine))

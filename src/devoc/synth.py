@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ CANVAS = 100
 RENDER_AHEAD = 64  # glyph images write_corpus holds at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JitterSpec:
     amplitude: int = 0  # vertex perturbation in pixels, 0..3
     seed: int = 0
@@ -37,7 +38,7 @@ class GlyphTemplate:
     truth: StructuralClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     image: np.ndarray
     class_label: str
@@ -207,7 +208,7 @@ def split_of(index):
     return "train" if index % 10 < 7 else "test"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlannedSample:
     """A corpus glyph not yet rendered: its image renders on every access
     and is never kept."""
@@ -262,11 +263,15 @@ def write_corpus(samples, root):
     ValueError before anything is written. Takes eager or planned samples,
     and holds RENDER_AHEAD images at a time."""
     manifest = os.path.join(root, MANIFEST_NAME)
-    rows = [(s.path, s.class_label, s.group, s.split) for s in samples]
-    for row in rows:
+    lines = ["path,class_label,group,split"]
+    folders = set()
+    for s in samples:
+        row = (s.path, s.class_label, s.group, s.split)
         raster.check_text_fields(row, manifest)
+        lines.append(",".join(row))
+        folders.add(os.path.dirname(row[0]))
     os.makedirs(root, exist_ok=True)
-    for folder in sorted({os.path.dirname(row[0]) for row in rows}):
+    for folder in sorted(folders):
         os.makedirs(os.path.join(root, folder), exist_ok=True)
     # RENDER_AHEAD renders, then their writes: on a 2-vCPU host, a file
     # written between every two renders made synth about 25% slower
@@ -274,11 +279,10 @@ def write_corpus(samples, root):
         chunk = samples[start : start + RENDER_AHEAD]
         for s, img in zip(chunk, [s.image for s in chunk]):
             raster.save_pbm(os.path.join(root, s.path), img)
-    lines = ["path,class_label,group,split"] + [",".join(row) for row in rows]
     raster.write_utf8(manifest, "\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusEntry:
     """A manifest row of a corpus on disk. Its image is read from
     <root>/<path> on every access and never kept."""
@@ -295,10 +299,11 @@ class CorpusEntry:
 
 
 def read_manifest(root):
-    """A CorpusEntry per row of <root>/manifest.csv; no image is read here.
-    Raises ValueError naming the file when it is not UTF-8, and its line too
-    for malformed CSV, an empty or missing field, one write_corpus would
-    refuse, or a split other than train/test."""
+    """A CorpusEntry per row of <root>/manifest.csv; no image is read here,
+    and equal labels, groups and splits share one string. Raises ValueError
+    naming the file when it is not UTF-8, and its line too for malformed
+    CSV, an empty or missing field, one write_corpus would refuse, or a
+    split other than train/test."""
     manifest = os.path.join(root, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise FileNotFoundError("no %s in %s" % (MANIFEST_NAME, root))
@@ -315,7 +320,7 @@ def read_manifest(root):
             raster.check_text_fields((row[f] for f in fields), where)
             if row["split"] not in ("train", "test"):
                 raise ValueError("%s: split %r is not train or test" % (where, row["split"]))
-            entries.append(CorpusEntry(root, *(row[f] for f in fields)))
+            entries.append(CorpusEntry(root, row["path"], *(sys.intern(row[f]) for f in fields[1:])))
     except csv.Error as exc:
         raise ValueError("%s:%d: %s" % (manifest, reader.reader.line_num, exc))
     return entries

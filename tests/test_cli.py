@@ -141,6 +141,18 @@ class TestConfigFile:
         with pytest.raises(BadConfigValueError, match=line.split()[0]):
             load_config(str(p))
 
+    @pytest.mark.parametrize(
+        "line",
+        ["drift_tol_frac = 1e308", "spine_height_frac = 1.5", "full_span = -1", "partial_span = 0.9",
+         "step_tol = -5", "mid_mass_tol = -1", "max_consecutive_up = -1", "max_gap = -1", "max_spur = -1"],
+    )
+    def test_value_stage_one_cannot_use_fails_at_load(self, tmp_path, line):
+        # partial_span 0.9 lies above the default full_span 0.85
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(BadConfigValueError, match="^%s: %s " % (re.escape(str(p)), line.split()[0])):
+            load_config(str(p))
+
     def test_not_utf8(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_bytes(b"seed = 1\n\xff\n")
@@ -531,6 +543,16 @@ class TestBoundedMemory:
         growth = {command: large[command] - small[command] for command in small}
         assert all(grew < 1.2e6 for grew in growth.values()), growth
 
+    def test_train_and_eval_keep_little_per_glyph(self, tmp_path):
+        # under Python 3.11.7 train grows by about 600 and eval by about 700
+        # bytes per added glyph; a record object, a 32-count array and a
+        # StructuralClass per glyph, and per-row label strings, put both
+        # above 1,100
+        traced_peaks(str(tmp_path), 2)
+        small, large = traced_peaks(str(tmp_path), 10), traced_peaks(str(tmp_path), 40)
+        per_glyph = {command: (large[command] - small[command]) / 360 for command in ("train", "eval")}
+        assert all(grew < 900 for grew in per_glyph.values()), per_glyph
+
 
 class TestPredictCommand:
     def test_output_format(self, workspace, capsys):
@@ -728,6 +750,9 @@ BAD_INPUTS = {
     "train-negative-feature-cap": _train("feature_cap = -1"),
     "predict-zero-feature-cap": _predict("feature_cap = 0"),
     "predict-nan-full-span": _predict("full_span = nan"),
+    # a fraction times a length overflows math.ceil
+    "predict-huge-drift-tol-frac": _predict("drift_tol_frac = 1e308"),
+    "eval-huge-spine-height-frac": _eval("spine_height_frac = 1e308"),
     "eval-zero-feature-cap": _eval("feature_cap = 0"),
     "config-not-utf8": lambda ws, tmp: with_config(tmp, b"seed = 1\n\xff\n") + ["synth", str(tmp / "o")],
     "config-is-directory": lambda ws, tmp: ["--config", str(tmp), "synth", str(tmp / "o")],

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from devoc import nn, pipeline, raster, structural, synth
+from devoc import features, nn, pipeline, raster, structural, synth
 from devoc.config import Config
 from devoc.pipeline import (
     REJECTED,
@@ -344,10 +344,6 @@ class TestTrainAnalysisRecord:
             pipeline.load_train_analysis(str(tmp_path), Config())
 
 
-def record_fields(records):
-    return [(r.digest, r.group, r.raw_features.tolist()) for r in records]
-
-
 class TestAnalyzeCorpus:
     @pytest.mark.parametrize("where", ["disk", "memory"])
     def test_records_do_not_depend_on_the_worker_count(self, templates, tmp_path, monkeypatch, where):
@@ -358,13 +354,17 @@ class TestAnalyzeCorpus:
         runs = []
         for workers in (1, 2):
             monkeypatch.setattr(pipeline, "corpus_workers", lambda n: workers)
-            records, used = pipeline.analyze_corpus(samples, Config())
+            digests, groups, raw, used = pipeline.analyze_corpus(samples, Config())
             assert used == workers
-            runs.append(record_fields(records))
+            assert raw.shape == (len(samples), features.N_FEATURES) and raw.dtype == np.int64
+            runs.append((digests, groups, raw.tolist()))
         serial, pooled = runs
         assert serial == pooled
         assert multiprocessing.active_children() == []
-        assert [r[1] for r in serial] == [pipeline.analyze_glyph(s.image).group for s in samples]
+        analyses = [pipeline.analyze_glyph(s.image) for s in samples]
+        assert serial[0] == [pipeline._digest(s.image) for s in samples]
+        assert serial[1] == [structural.group_name(a.group) for a in analyses]
+        assert serial[2] == [a.raw_features.tolist() for a in analyses]
 
     @pytest.mark.parametrize(
         "cpus, n_samples, workers",
