@@ -8,7 +8,7 @@ prints the 32-value count vector plus its scaled network input form.
 
 import numpy as np
 
-from devoc import features, pipeline, raster, synth
+from devoc import features, pipeline, synth
 from devoc.config import Config
 
 
@@ -19,9 +19,12 @@ def main():
 
     # the rule extract_features counts by: one 8-neighbor is an open end,
     # three or more an intersection
-    counts = raster.neighbor_count_grid(skel)
-    points = [(r, c, "open_end") for r, c in np.argwhere(skel & (counts == 1))]
-    points += [(r, c, "intersection") for r, c in np.argwhere(skel & (counts >= 3))]
+    padded = np.pad(skel, 1)
+    points = []
+    for r, c in np.argwhere(skel):
+        n = padded[r : r + 3, c : c + 3].sum() - 1  # the 3x3 window less the pixel itself
+        if n == 1 or n >= 3:
+            points.append((r, c, "open_end" if n == 1 else "intersection"))
     print("feature points on %r:" % tpl.id)
     for r, c, kind in sorted(points):
         tile = (r // features.TILE) * features.GRID + c // features.TILE

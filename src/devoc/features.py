@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .raster import NORM_SIZE, neighbor_count_grid
+from .raster import NORM_SIZE, _bordered, ends_and_junctions
 
 TILE = 25
 GRID = 4
@@ -20,21 +20,22 @@ class WrongDimensionsError(Exception):
     pass
 
 
-# tile index 0..15, row-major 4x4 order, of every pixel of the normalized grid
-_TILE_INDEX = (np.arange(NORM_SIZE) // TILE)[:, None] * GRID + np.arange(NORM_SIZE) // TILE
+# tile index 0..15, row-major 4x4 order, of every pixel of the bordered grid, flattened
+_TILE_INDEX = np.pad((np.arange(NORM_SIZE) // TILE)[:, None] * GRID + np.arange(NORM_SIZE) // TILE, 1).ravel()
 
 
 def extract_features(skel):
     """32 counts: tiles in row-major order, each contributing the adjacent
-    pair (intersections, open ends). A foreground pixel with one 8-neighbor
-    is an open end, one with three or more an intersection."""
+    pair (intersections, open ends): the junctions and open ends of
+    raster.ends_and_junctions."""
     if skel.shape != (NORM_SIZE, NORM_SIZE):
         raise WrongDimensionsError("expected %dx%d skeleton, got %r" % (NORM_SIZE, NORM_SIZE, skel.shape))
-    skel = np.asarray(skel, dtype=bool)
-    counts = neighbor_count_grid(skel)
+    grid, ring = _bordered(skel)
+    fg = np.flatnonzero(grid)
+    ends, junctions = ends_and_junctions(grid.reshape(-1), ring, fg)
     vec = np.empty(N_FEATURES, dtype=np.int64)
-    vec[0::2] = np.bincount(_TILE_INDEX[skel & (counts >= 3)], minlength=GRID * GRID)
-    vec[1::2] = np.bincount(_TILE_INDEX[skel & (counts == 1)], minlength=GRID * GRID)
+    vec[0::2] = np.bincount(_TILE_INDEX[fg[junctions]], minlength=GRID * GRID)
+    vec[1::2] = np.bincount(_TILE_INDEX[fg[ends]], minlength=GRID * GRID)
     return vec
 
 

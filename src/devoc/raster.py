@@ -199,30 +199,17 @@ def crop_to_ink(img):
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
 
-def _zs_ring(img):
-    """The 8 neighbor planes of img in _RING order, zero beyond the border."""
-    p = _bordered(img)[0]
-    h, w = img.shape
-    return tuple(p[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w] for dr, dc in _RING)
-
-
-def neighbor_count_grid(img):
-    """8-neighbor foreground counts for every pixel, vectorized."""
-    out = np.zeros(img.shape, dtype=np.int32)
-    for plane in _zs_ring(img):
-        out += plane
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Morphology
 
 
 def thicken(img):
     """One pass of 3x3 dilation (bridges 1-2 pixel gaps from shaky strokes)."""
-    out = np.array(img, dtype=bool)
-    for plane in _zs_ring(img):
-        out |= plane
+    p = _bordered(img)[0]
+    out = p[1:-1, 1:-1].copy()
+    h, w = out.shape
+    for dr, dc in _RING:
+        out |= p[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
     return out
 
 
@@ -235,6 +222,14 @@ def _bordered(img):
     grid = np.zeros((h + 2, w + 2), dtype=bool)
     grid[1:-1, 1:-1] = img
     return grid, np.array([dr * (w + 2) + dc for dr, dc in _RING])
+
+
+def ends_and_junctions(buf, ring, idx):
+    """Two bool arrays aligned with idx, flat indices into a _bordered grid's
+    buffer buf: a pixel with one 8-neighbor is an open end, one with three
+    or more a junction. Pruning, the trace and the features all use it."""
+    counts = buf[ring[:, None] + idx].view(np.uint8).sum(axis=0, dtype=np.uint8)
+    return counts == 1, counts >= 3
 
 
 _WEIGHTS = (1 << np.arange(8, dtype=np.uint8))[:, None]  # ring code bit of each _RING neighbor
@@ -425,7 +420,9 @@ def thin_to_convergence(img):
                 if n * _DENSE_SHARE > buf.size:
                     cand = _marked(buf, touched, mark)
                 else:
-                    cand = _distinct(np.concatenate(touched), stamp)
+                    # numpy reads an empty list from _zs_delete_few as float64
+                    idx = np.concatenate([np.asarray(t, dtype=np.intp) for t in touched])
+                    cand = _distinct(idx, stamp)
                     cand = cand[buf[cand]]
                 around = _zs_delete(buf, cand, ring, _ZS_TABLES[step])
             touched = [touched[1], around]
@@ -466,9 +463,9 @@ def prune(img, max_spur):
     while changed:
         changed = False
         fg = np.flatnonzero(buf)
-        counts = buf[ring[:, None] + fg].view(np.uint8).sum(axis=0, dtype=np.uint8)
-        ends = fg[counts == 1]
-        (er, ec), (fr, fc) = np.divmod(ends, w), np.divmod(fg[counts >= 3], w)
+        is_end, is_junction = ends_and_junctions(buf, ring, fg)
+        ends = fg[is_end]
+        (er, ec), (fr, fc) = np.divmod(ends, w), np.divmod(fg[is_junction], w)
         near = (abs(er[:, None] - fr) < max_spur) & (abs(ec[:, None] - fc) < max_spur)
         # a walk deletes only its start among this round's endpoints: every
         # later pixel of a spur has two or more neighbors

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .raster import EmptyImageError, _bordered
+from .raster import EmptyImageError, _bordered, ends_and_junctions
 
 # candidate moves in priority order: W, NW, SW, N (column never increases)
 PRIORITY_MASK = ((0, -1), (-1, -1), (1, -1), (-1, 0))
@@ -31,6 +31,9 @@ class InconsistentInputsError(Exception):
 
 
 class Termination(Enum):
+    """Why a trace stopped. LOOP: on a pixel with two or more neighbors and
+    no move left, as on a ring; the trace never revisits a pixel."""
+
     OPEN_END = "open_end"
     NO_MOVE = "no_move"
     LOOP = "loop"
@@ -99,7 +102,7 @@ class StructuralConfig:
     mid_mass_tol: int = 5
     # effectively unbounded: the rightmost pixel of a leaning spine can sit
     # mid-stroke, and the trace must climb the full spine to reach the
-    # headline (the visited set already rules out cycles)
+    # headline (no bound is needed against cycles: the trace has none)
     max_consecutive_up: int = 100
     # no effect: the trace stops at a gap, so the headline it yields covers
     # every column it spans; kept so that config files setting it still load
@@ -142,36 +145,33 @@ def parse_group_name(name):
 
 def trace_from_rightmost(skel, max_consecutive_up):
     """Trace from the rightmost (topmost on ties) foreground pixel, always
-    taking the highest-priority unvisited neighbor among W, NW, SW, N.
+    taking the highest-priority foreground neighbor among W, NW, SW, N.
     At most max_consecutive_up N-moves in a row (climb small bumps only).
-    Visited pixels are cleared in a zero-bordered copy of skel."""
+    Each move lowers the column, or the row within it: no pixel repeats."""
     cols = np.flatnonzero(skel.any(axis=0))
     if cols.size == 0:
         raise EmptyImageError("cannot trace an empty skeleton")
-    grid = _bordered(skel)[0]
+    grid, ring = _bordered(skel)
+    px = memoryview(grid.reshape(-1))
     stride = grid.shape[1]
     i = (int(np.argmax(skel[:, cols[-1]])) + 1) * stride + int(cols[-1]) + 1
-    buf = bytearray(grid.tobytes())
-    buf[i] = 0
     path = [i]
     moves = [dr * stride + dc for dr, dc in PRIORITY_MASK]
     north = moves[-1]
     up_run = 0
     while True:
         for step in moves:
-            if buf[i + step] and (step != north or up_run < max_consecutive_up):
+            if px[i + step] and (step != north or up_run < max_consecutive_up):
                 break
         else:
             break
         up_run = up_run + 1 if step == north else 0
         i += step
-        buf[i] = 0
         path.append(i)
     points = tuple((q - 1, r - 1) for q, r in (divmod(j, stride) for j in path))
-    row, col = divmod(i, stride)
     if len(points) == 1:
         term = Termination.NO_MOVE
-    elif grid[row - 1 : row + 2, col - 1 : col + 2].sum() == 2:  # the last point and one neighbor
+    elif ends_and_junctions(grid.reshape(-1), ring, np.array([i]))[0][0]:
         term = Termination.OPEN_END
     else:
         term = Termination.LOOP

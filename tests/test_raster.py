@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -298,24 +298,36 @@ class TestGeometry:
     def test_neighbor_count_examples(self):
         img = np.zeros((5, 5), dtype=bool)
         img[2, 2] = True
-        assert raster.neighbor_count_grid(img)[2, 2] == 0
+        assert ends_and_junctions_at_ink(img) == {(2, 2): (False, False)}  # no neighbor
         line = np.zeros((3, 9), dtype=bool)
         line[1, :] = True
-        assert raster.neighbor_count_grid(line)[1].tolist() == [1, 2, 2, 2, 2, 2, 2, 2, 1]
+        ends = {(1, c): (c in (0, 8), False) for c in range(9)}  # 1, 2, ..., 2, 1 neighbors
+        assert ends_and_junctions_at_ink(line) == ends
         cross = np.zeros((5, 5), dtype=bool)
         cross[2, :] = True
         cross[:, 2] = True
-        assert raster.neighbor_count_grid(cross)[2, 2] == 4
+        assert ends_and_junctions_at_ink(cross)[2, 2] == (False, True)  # four neighbors
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_neighbor_count_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         img = rng.random((7, 9)) < 0.5
-        grid = raster.neighbor_count_grid(img)
-        for r in range(7):
-            for c in range(9):
-                assert grid[r, c] == brute_neighbor_count(img, r, c)
+        classes = ends_and_junctions_at_ink(img)
+        assert sorted(classes) == [(r, c) for r in range(7) for c in range(9) if img[r, c]]
+        for (r, c), (end, junction) in classes.items():
+            n = brute_neighbor_count(img, r, c)
+            assert (end, junction) == (n == 1, n >= 3)
+
+
+def ends_and_junctions_at_ink(img):
+    """{(row, col): (open end, junction)} for every ink pixel of img, from
+    raster.ends_and_junctions."""
+    grid, ring = raster._bordered(img)
+    fg = np.flatnonzero(grid)
+    ends, junctions = raster.ends_and_junctions(grid.reshape(-1), ring, fg)
+    rows, cols = np.divmod(fg, grid.shape[1])
+    return {(r - 1, c - 1): (bool(e), bool(j)) for r, c, e, j in zip(rows.tolist(), cols.tolist(), ends, junctions)}
 
 
 class TestThicken:
@@ -627,6 +639,7 @@ def counting(monkeypatch, name):
 class TestThinMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 48), st.integers(1, 48), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    @example(22, 25, 0.8125, 55571)  # few -> none -> few deleted, then _distinct over the concatenation
     def test_random_arrays(self, h, w, density, seed):
         assert_matches_reference(random_array(h, w, density, seed))
 
