@@ -387,6 +387,8 @@ def load_model(path):
         n_in, n_hidden, n_out = (int(v) for v in dims[1:])
     except ValueError:
         raise MalformedModelFileError("bad dims line %r" % lines[1])
+    if min(n_in, n_hidden) < 1 or n_out < 2:  # sizes init_mlp refuses
+        raise MalformedModelFileError("bad dims line %r: no network trains to these sizes" % lines[1])
     if lines[2] != "layout row-major W1 b1 W2 b2":
         raise MalformedModelFileError("bad layout line %r" % lines[2])
     if not lines[3].startswith("labels "):
@@ -394,6 +396,8 @@ def load_model(path):
     labels = lines[3][len("labels ") :].split(",")
     if len(labels) != n_out:
         raise MalformedModelFileError("%d labels for %d outputs" % (len(labels), n_out))
+    if len(set(labels)) != n_out:
+        raise MalformedModelFileError("a label repeats in %r" % lines[3])
     total = n_hidden * n_in + n_hidden + n_out * n_hidden + n_out
     params = lines[4:]
     if len(params) != total:

@@ -279,17 +279,12 @@ _ZS_TABLES, _PEEL = _ring_tables()  # Zhang-Suen steps 1, 2 (arrays); peel (a li
 _ZS_LISTS = tuple(t.tolist() for t in _ZS_TABLES)
 
 # The regimes of a thinning subiteration after the first pass, by its
-# number of touched indices (repeats counted; each deletion touches 8):
-# - up to _FEW_TOUCHED, as when Zhang-Suen erodes a 2-px diagonal one pixel
-#   per subiteration, numpy's fixed cost per call would outweigh the pixels,
-#   so the subiteration runs over Python ints (_zs_delete_few);
-# - above 1/_DENSE_SHARE of the grid, three passes over a bool grid
-#   (_marked) cost less than sorting out the repeats among that many 8-byte
-#   indices (_distinct);
-# - in between, _distinct keeps the work in proportion to the touched
-#   indices however large the canvas.
+# number of touched indices (repeats counted; each deletion touches 8): up to
+# _FEW_TOUCHED, as when Zhang-Suen erodes a 2-px diagonal one pixel per
+# subiteration, numpy's fixed cost per call would outweigh the pixels, so the
+# subiteration runs over Python ints (_zs_delete_few); above it, one scan of
+# a bool grid (_marked) sorts out the repeats.
 _FEW_TOUCHED = 32
-_DENSE_SHARE = 16
 
 
 def _zs_delete(buf, cand, ring, table):
@@ -347,18 +342,10 @@ def _spare_doomed(buf, dele, alone, ring):
             buf[min(comp)] = True
 
 
-def _distinct(idx, stamp):
-    """idx without repeats, in linear time: stamp is scratch space with one
-    slot per grid pixel; exactly one write per distinct index survives."""
-    order = np.arange(idx.size)
-    stamp[idx] = order
-    return idx[stamp[idx] == order]
-
-
 def _marked(buf, touched, mark):
     """The distinct foreground pixels among the touched flat indices (a
-    sequence of index arrays), by a scan of mark: a bool grid the size of
-    buf, all False before and after."""
+    sequence of index arrays or lists), by a scan of mark: a bool grid the
+    size of buf, all False before and after."""
     for t in touched:
         mark[t] = True
     mark &= buf
@@ -398,13 +385,14 @@ def thin_to_convergence(img):
     A pixel's deletability under a step changes only when its 3x3
     neighborhood does, so after the first pass a subiteration re-tests just
     the foreground pixels next to the previous two subiterations' deletions
-    (touched). It finds and tests them in one of three regimes, by how many
-    indices were touched; see _FEW_TOUCHED and _DENSE_SHARE."""
+    (touched). It finds and tests them in one of two regimes, by how many
+    indices were touched; see _FEW_TOUCHED. The mark scan costs in
+    proportion to the canvas, so callers thin a canvas cropped to the ink
+    or a NORM_SIZE one, as preprocess_glyph and normalize do."""
     grid, ring = _bordered(img)
     buf = grid.reshape(-1)
     px, w, ring_list = memoryview(buf), grid.shape[1], ring.tolist()
     mark = np.zeros(buf.size, dtype=bool)  # scratch for _marked
-    stamp = np.empty(buf.size, dtype=np.intp)  # scratch for _distinct
     # the first pass tests every pixel; touched holds the neighbors of the
     # last two subiterations' deletions
     touched = [_zs_delete(buf, np.flatnonzero(buf), ring, table) for table in _ZS_TABLES]
@@ -417,14 +405,7 @@ def thin_to_convergence(img):
                 cand = [i for i in set(touched[0]).union(touched[1]) if px[i]]
                 around = _zs_delete_few(px, cand, w, ring_list, _ZS_LISTS[step])
             else:
-                if n * _DENSE_SHARE > buf.size:
-                    cand = _marked(buf, touched, mark)
-                else:
-                    # numpy reads an empty list from _zs_delete_few as float64
-                    idx = np.concatenate([np.asarray(t, dtype=np.intp) for t in touched])
-                    cand = _distinct(idx, stamp)
-                    cand = cand[buf[cand]]
-                around = _zs_delete(buf, cand, ring, _ZS_TABLES[step])
+                around = _zs_delete(buf, _marked(buf, touched, mark), ring, _ZS_TABLES[step])
             touched = [touched[1], around]
             changed = changed or len(around) > 0
     _peel_square_blocks(grid)

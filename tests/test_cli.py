@@ -576,13 +576,26 @@ class TestPredictCommand:
         assert cli.main(["--quiet", "predict", img, broken]) == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("damage", ["last three lines lost", "not UTF-8", "missing"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["last three lines lost", "not UTF-8", "missing", "no hidden unit", "one output", "a repeated label"],
+    )
     def test_model_file_errors_name_the_file_once(self, workspace, tmp_path, capsys, damage):
         corpus, models = workspace
         broken = copy_models(models, tmp_path)
         path = os.path.join(broken, "full_mid.mlp")
         if damage == "missing":
             os.remove(path)
+        elif damage in ("no hidden unit", "one output"):
+            # sizes training never makes, in an otherwise well-formed file
+            n_hidden, n_out = (0, 2) if damage == "no hidden unit" else (40, 1)
+            net = nn.Mlp(np.zeros((n_hidden, 32)), np.zeros(n_hidden), np.zeros((n_out, n_hidden)), np.zeros(n_out))
+            nn.save_model(path, net, ["k%d" % k for k in range(n_out)])
+        elif damage == "a repeated label":  # the first label again in the last place
+            lines = open(path, encoding="utf-8").read().splitlines()
+            labels = lines[3][len("labels ") :].split(",")
+            lines[3] = "labels " + ",".join(labels[:-1] + labels[:1])
+            open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
         else:
             lines = open(path).read().splitlines()
             data = "\n".join(lines[:-3]).encode() if damage == "last three lines lost" else b"DEVOC-MLP v1\n\xff\n"

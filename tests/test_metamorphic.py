@@ -2,10 +2,12 @@
 the same analysis.
 
 Exact relations only, over corpus glyphs at 1 px and at a thick pen (2x
-pixel replication plus one 3x3 dilation, numpy alone).
+pixel replication plus one 3x3 dilation, numpy alone), plus what the padded
+glyphs' analysis hands to thinning.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +45,27 @@ def pad(img, margins):
 def test_zero_padding_keeps_the_analysis(glyph, margins):
     img = draw(*glyph)
     assert outcome(pad(img, margins)) == outcome(img)
+
+
+@settings(max_examples=120, deadline=None)
+@given(glyph=glyphs, margins=borders)
+def test_thinning_gets_canvases_inked_on_every_edge(glyph, margins):
+    # each subiteration past a few touched pixels scans the whole canvas, which
+    # costs little only because analyze_glyph never thins a blank margin
+    img = pad(draw(*glyph), margins)  # drawing thins a 100x100 canvas of its own
+    canvases = []
+    thin = raster.thin_to_convergence
+
+    def recording(canvas):
+        canvases.append(canvas)
+        return thin(canvas)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raster, "thin_to_convergence", recording)
+        pipeline.analyze_glyph(img)
+    assert len(canvases) >= 2
+    for c in canvases:
+        assert c[0].any() and c[-1].any() and c[:, 0].any() and c[:, -1].any()
 
 
 @settings(max_examples=240, deadline=None)

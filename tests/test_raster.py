@@ -639,7 +639,7 @@ def counting(monkeypatch, name):
 class TestThinMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 48), st.integers(1, 48), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
-    @example(22, 25, 0.8125, 55571)  # few -> none -> few deleted, then _distinct over the concatenation
+    @example(22, 25, 0.8125, 55571)  # few -> none -> few deleted, then a mark scan reads an empty list
     def test_random_arrays(self, h, w, density, seed):
         assert_matches_reference(random_array(h, w, density, seed))
 
@@ -731,33 +731,36 @@ class TestThinMatchesReference:
             assert len(marked) > before
             assert not marked[-1][2].any()  # the scan leaves its bool grid all False
 
-    @pytest.mark.parametrize("piece", ["band", "block"])
-    def test_huge_canvas_never_scans_the_whole_grid_per_subiteration(self, monkeypatch, piece):
-        # on a 2,000 x 2,000 canvas no subiteration touches 1/_DENSE_SHARE of
-        # the grid, so none runs a mark scan: the band's subiterations run
-        # over Python ints, a solid block's sort out repeats with _distinct
-        if piece == "band":
-            small, regime, least = diagonal_band(80, 85), "_zs_delete_few", 70
-        else:
-            small, regime, least = np.zeros((44, 44), dtype=bool), "_distinct", 10
-            small[2:42, 2:42] = True
+    def test_huge_canvas_never_scans_the_whole_grid_per_subiteration(self, monkeypatch):
+        # on a 2,000 x 2,000 canvas an 80-px diagonal band 2 px wide thins
+        # one pixel per subiteration, each over Python ints: none runs a
+        # mark scan
+        small = diagonal_band(80, 85)
         img = np.zeros((2000, 2000), dtype=bool)
-        img[1000 : 1000 + small.shape[0], 1500 : 1500 + small.shape[1]] = small
-        calls = {name: counting(monkeypatch, name) for name in ("_marked", "_distinct", "_zs_delete_few")}
+        img[1000:1085, 1500:1585] = small
+        calls = {name: counting(monkeypatch, name) for name in ("_marked", "_zs_delete_few")}
         out = raster.thin_to_convergence(img)
         assert not calls["_marked"]
-        assert len(calls[regime]) >= least
+        assert len(calls["_zs_delete_few"]) >= 70
         expect = np.zeros_like(img)
-        expect[1000 : 1000 + small.shape[0], 1500 : 1500 + small.shape[1]] = reference_thin(small)
+        expect[1000:1085, 1500:1585] = reference_thin(small)
         assert np.array_equal(out, expect)
 
-    @pytest.mark.parametrize(
-        "few, dense_share", [(10**9, 1), (0, 10**9), (0, 0)], ids=["python", "mark-scan", "distinct"]
-    )
-    def test_each_regime_alone_matches_reference(self, monkeypatch, few, dense_share):
+    def test_block_on_a_huge_canvas_matches_reference(self):
+        # a solid block's subiterations touch too many indices for Python
+        # ints, so each scans the whole 2,000 x 2,000 grid: slow, same bytes
+        small = np.zeros((44, 44), dtype=bool)
+        small[2:42, 2:42] = True
+        img = np.zeros((2000, 2000), dtype=bool)
+        img[1000:1044, 1500:1544] = small
+        expect = np.zeros_like(img)
+        expect[1000:1044, 1500:1544] = reference_thin(small)
+        assert np.array_equal(raster.thin_to_convergence(img), expect)
+
+    @pytest.mark.parametrize("few", [10**9, 0], ids=["python", "mark-scan"])
+    def test_each_regime_alone_matches_reference(self, monkeypatch, few):
         # every subiteration after the first pass forced into one regime
         monkeypatch.setattr(raster, "_FEW_TOUCHED", few)
-        monkeypatch.setattr(raster, "_DENSE_SHARE", dense_share)
         for seed in range(30):
             rng = np.random.default_rng(seed)
             h, w = rng.integers(1, 40, size=2)
