@@ -1,7 +1,8 @@
 """Walk one glyph through the raster pipeline stage by stage.
 
-Renders a synthetic character, then shows what crop-to-ink, thicken, thin,
-prune and the final 100x100 normalization each do to it. Run from the repo
+Renders a synthetic character, then shows what crop-to-ink, the shrink to
+the frame's scale, thicken, thin, prune and the final 100x100 normalization
+each do to it. Run from the repo
 root:
 
     python3 demos/01_preprocessing.py
@@ -31,14 +32,17 @@ def main():
     glyph = synth.render(tpl, synth.JitterSpec(amplitude=2, seed=7))
     show("rendered glyph (already thin)", glyph)
 
-    # pretend it came from a scanner: pad it into a larger page and fatten it
-    page = np.zeros((160, 160), dtype=bool)
-    page[30:130, 20:120] = glyph
+    # pretend it came from a scanner at twice the size: pad it into a larger
+    # page and fatten it
+    page = np.zeros((320, 320), dtype=bool)
+    page[60:260, 40:240] = np.repeat(np.repeat(glyph, 2, axis=0), 2, axis=1)
     page = raster.thicken(raster.thicken(page))
-    show("simulated scan (thick, off-center)", page)
+    show("simulated scan (twice the size, thick, off-center)", page, scale=8)
 
     cropped = raster.crop_to_ink(page)
-    thin = raster.thin_to_convergence(cropped)
+    shrunk = raster.shrink_to_frame(cropped)  # block-OR by long side / 100, rounded
+    print("cropped %dx%d, shrunk to the frame's scale: %dx%d\n" % (cropped.shape + shrunk.shape))
+    thin = raster.thin_to_convergence(shrunk)
     show("thinned back to one pixel wide", thin)
     print("one pixel wide?", not (thin[:-1, :-1] & thin[1:, :-1] & thin[:-1, 1:] & thin[1:, 1:]).any())
 

@@ -30,7 +30,7 @@ TRAIN_ANALYSIS_MAGIC = "DEVOC-TRAIN-ANALYSIS"
 # The record's format version. Bump it with every change to stage one's
 # output, that is whenever TestAnalyze::test_stage_one_fingerprint's constant
 # changes, so that no model directory hands eval an analysis made by other code.
-TRAIN_ANALYSIS_VERSION = 1
+TRAIN_ANALYSIS_VERSION = 2
 BATCH = 64  # corpus glyphs per analyze_corpus task
 
 
@@ -71,10 +71,14 @@ class Analysis:
 
 
 def preprocess_glyph(img, cfg=None):
-    """Binarized image -> 100x100 one-pixel-wide skeleton (crop, thicken,
-    thin, prune, normalize which re-thins)."""
+    """Binarized image -> 100x100 one-pixel-wide skeleton (crop, shrink to
+    the frame's scale, thicken, thin, prune, normalize which re-thins). The
+    shrink block-ORs a glyph 150 px or more on its long side down by that
+    side over 100, rounded, so thinning sees about the pixels of a 100-px
+    glyph, and a k-fold pixel replication analyses as the glyph does."""
     cfg = cfg or Config()
     g = raster.crop_to_ink(img)  # EmptyImageError on blank
+    g = raster.shrink_to_frame(g)
     g = raster.thicken(g)
     g = raster.thin_to_convergence(g)
     g = raster.prune(g, cfg.max_spur)
@@ -545,30 +549,34 @@ def save_train_analysis(dirpath, analysed, cfg):
 
 
 def load_train_analysis(dirpath, cfg):
-    """path -> RecordedAnalysis from dirpath's train_analysis.csv. Empty when
-    there is none, or when it was written by another format version or
-    under other stage-one settings than cfg's."""
+    """path -> RecordedAnalysis from dirpath's train_analysis.csv, read a
+    line at a time. Empty when there is none, or when it was written by
+    another format version or under other stage-one settings than cfg's."""
     path = os.path.join(dirpath, TRAIN_ANALYSIS_NAME)
     if not os.path.exists(path):
         return {}
-    lines = raster.read_utf8(path, MalformedModelSetError).split("\n")
-    if lines[0].split(" ")[0] != TRAIN_ANALYSIS_MAGIC:
-        raise MalformedModelSetError("%s: bad header" % path)
-    if lines[0] != _record_header(cfg):
-        return {}
-    if lines[1:2] != [_RECORD_COLUMNS] or lines[-1] != "":
-        raise MalformedModelSetError("%s: bad column line or no final newline" % path)
-    body = lines[2:-1]
-    raw = np.empty((len(body), features.N_FEATURES), dtype=np.int64)
     records = {}
-    for i, line in enumerate(body):
-        m = _RECORD_ROW.fullmatch(line)
-        if m is None:
-            raise MalformedModelSetError("%s:%d: bad row" % (path, i + 3))
-        try:
-            group = structural.parse_group_name(m[3])
-        except ValueError as exc:
-            raise MalformedModelSetError("%s:%d: %s" % (path, i + 3, exc))
-        raw[i] = m.groups()[3:]
-        records[m[1]] = RecordedAnalysis(m[2], group, raw[i])
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:  # lines end at LF alone
+            header = fh.readline().removesuffix("\n")
+            if header.split(" ")[0] != TRAIN_ANALYSIS_MAGIC:
+                raise MalformedModelSetError("%s: bad header" % path)
+            if header != _record_header(cfg):
+                return {}
+            bad_end = MalformedModelSetError("%s: bad column line or no final newline" % path)
+            if fh.readline() != _RECORD_COLUMNS + "\n":
+                raise bad_end
+            for number, line in enumerate(fh, 3):
+                if not line.endswith("\n"):
+                    raise bad_end
+                m = _RECORD_ROW.fullmatch(line[:-1])
+                if m is None:
+                    raise MalformedModelSetError("%s:%d: bad row" % (path, number))
+                try:
+                    group = structural.parse_group_name(m[3])
+                except ValueError as exc:
+                    raise MalformedModelSetError("%s:%d: %s" % (path, number, exc))
+                records[m[1]] = RecordedAnalysis(m[2], group, np.array(m.groups()[3:], dtype=np.int64))
+    except UnicodeDecodeError as exc:
+        raise MalformedModelSetError("%s is not UTF-8 text: %s" % (path, exc))
     return records

@@ -4,8 +4,9 @@ Images are 2-D numpy bool arrays, shape (height, width), True = foreground
 ink. All functions are pure and never modify their arguments.
 
 The preprocessing chain turns a raw glyph into a 100x100 one-pixel-wide
-skeleton: crop to the ink -> thicken -> thin -> prune -> normalize
-(which re-thins after scaling).
+skeleton: crop to the ink -> shrink to the frame's scale (a glyph 150 px or
+more on its long side only) -> thicken -> thin -> prune -> normalize (which
+re-thins after scaling).
 """
 
 from __future__ import annotations
@@ -479,6 +480,18 @@ def _axis_scale(img, axis, target):
     for k in range(1, -(-src // target)):
         out |= np.take(img, np.minimum(starts + k, last), axis=axis)
     return out
+
+
+def shrink_to_frame(img):
+    """img block-ORed down by k, its long side over NORM_SIZE rounded half
+    up, when k >= 2: the max-pool of normalize, to ceil(side / k) pixels per
+    axis, so a k-fold pixel replication comes back exactly. An image whose
+    long side is under 1.5 NORM_SIZE is returned as it is."""
+    k = (max(img.shape) + NORM_SIZE // 2) // NORM_SIZE
+    if k < 2:
+        return img
+    h, w = img.shape
+    return _axis_scale(_axis_scale(img, 0, -(-h // k)), 1, -(-w // k))
 
 
 def normalize(img):

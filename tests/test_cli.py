@@ -485,7 +485,7 @@ class TestTrainAnalysisRecord:
         corpus, models = workspace
         train = [e.path for e in synth.read_manifest(corpus) if e.split == "train"]
         lines = open(os.path.join(models, pipeline.TRAIN_ANALYSIS_NAME), encoding="utf-8").read().splitlines()
-        assert lines[0].startswith("DEVOC-TRAIN-ANALYSIS v1 step_tol=2 ")
+        assert lines[0].startswith("DEVOC-TRAIN-ANALYSIS v2 step_tol=2 ")
         assert lines[0].endswith(" max_spur=3")
         assert [line.split(",")[0] for line in lines[2:]] == train
 

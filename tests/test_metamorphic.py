@@ -3,7 +3,8 @@ the same analysis.
 
 Exact relations only, over corpus glyphs at 1 px and at a thick pen (2x
 pixel replication plus one 3x3 dilation, numpy alone), plus what the padded
-glyphs' analysis hands to thinning.
+glyphs' analysis hands to thinning, and k-fold pixel replication of the 1-px
+glyphs.
 """
 
 import numpy as np
@@ -76,3 +77,20 @@ def test_a_pbm_round_trip_keeps_the_analysis(tmp_path_factory, glyph, margins):
     path = str(tmp_path_factory.getbasetemp() / "round_trip.pbm")
     raster.save_pbm(path, img)
     assert outcome(raster.load_image(path)) == outcome(img)
+
+
+@pytest.mark.parametrize("k", [2, 3, 20])
+def test_pixel_replication_keeps_the_analysis(k):
+    # preprocess_glyph block-ORs a glyph down by its long side over
+    # NORM_SIZE, rounded half up, so a k-fold replica analyses as the glyph
+    # does when k times the long side rounds back to k: at k = 2 and 3 every
+    # corpus glyph (long side 96-100), at k = 20 (a 2,000x2,000 canvas) those
+    # of long side 98 or more
+    half, kept = raster.NORM_SIZE // 2, 0
+    for s in GLYPHS:
+        img = s.image
+        if (k * max(raster.crop_to_ink(img).shape) + half) // raster.NORM_SIZE != k:
+            continue
+        kept += 1
+        assert outcome(np.repeat(np.repeat(img, k, axis=0), k, axis=1)) == outcome(img)
+    assert kept >= (len(GLYPHS) if k < 20 else 0.9 * len(GLYPHS))

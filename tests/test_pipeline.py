@@ -108,8 +108,8 @@ class TestAnalyze:
                 digest.update(structural.group_name(a.group).encode())
                 digest.update(a.raw_features.astype("<i8").tobytes())
         assert (pipeline.TRAIN_ANALYSIS_VERSION, digest.hexdigest()) == (
-            1,
-            "dbecaf8abc13253cc1849e9550835ff4161062d227a849d24026e87888156304",
+            2,
+            "8f4b20d39043fea5908c8edeb83eb2513228fd459c1005b489234a487d0cd813",
         )
 
 
@@ -314,28 +314,40 @@ class TestTrainAnalysisRecord:
     def test_other_format_version_is_ignored(self, recorded, tmp_path):
         pipeline.save_train_analysis(str(tmp_path), recorded[2], Config())
         path = tmp_path / pipeline.TRAIN_ANALYSIS_NAME
-        path.write_text(path.read_text().replace(" v1 ", " v0 ", 1))
-        assert pipeline.load_train_analysis(str(tmp_path), Config()) == {}
+        text = path.read_text()
+        current = " v%d " % pipeline.TRAIN_ANALYSIS_VERSION
+        assert current in text.split("\n")[0]
+        # v1 is what the code before the frame-scale shrink wrote
+        for version in (pipeline.TRAIN_ANALYSIS_VERSION - 1, pipeline.TRAIN_ANALYSIS_VERSION + 1, 1):
+            path.write_text(text.replace(current, " v%d " % version, 1))
+            assert pipeline.load_train_analysis(str(tmp_path), Config()) == {}
 
     def test_missing_is_empty(self, tmp_path):
         assert pipeline.load_train_analysis(str(tmp_path), Config()) == {}
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda t: "",
-            lambda t: "WRONG v1\n" + t,
-            lambda t: t.replace(",full_", ",fill_", 1),
-            lambda t: t.replace(",", ",,", 3),
-            lambda t: t[:-1] + "\r\n",
+            (lambda lines: [""], r"\.csv: bad header"),
+            (lambda lines: ["WRONG v1"] + lines, r"\.csv: bad header"),
+            (lambda lines: [line.replace(",full_", ",fill_") for line in lines], r"\.csv:\d+: "),
+            (lambda lines: lines[:1] + [lines[1].replace(",", ",,", 3)] + lines[2:], "bad column line"),
+            (lambda lines: lines[:-2] + [lines[-2] + "\r", ""], r"\.csv:\d+: bad row"),
+            (lambda lines: lines[:4] + [lines[4].replace(",", ";", 1)] + lines[5:], r"\.csv:5: bad row"),
+            (lambda lines: lines[:-1], r"\.csv: bad column line or no final newline"),
+            (lambda lines: lines[:1] + ["", ""], r"\.csv: bad column line or no final newline"),
         ],
-        ids=["empty", "bad-magic", "bad-group", "bad-column-line", "cr-in-row"],
+        ids=[
+            "empty", "bad-magic", "bad-group", "bad-column-line", "cr-in-row",
+            "row-5", "last-row-unended", "no-column-line",
+        ],
     )
-    def test_unparsable_is_malformed(self, recorded, tmp_path, edit):
+    def test_unparsable_is_malformed(self, recorded, tmp_path, edit, message):
+        # edit gets the file's lines split at LF; the last is "" after the final newline
         pipeline.save_train_analysis(str(tmp_path), recorded[2], Config())
         path = tmp_path / pipeline.TRAIN_ANALYSIS_NAME
-        path.write_text(edit(path.read_text()), newline="")
-        with pytest.raises(MalformedModelSetError):
+        path.write_text("\n".join(edit(path.read_text().split("\n"))), newline="")
+        with pytest.raises(MalformedModelSetError, match=message):
             pipeline.load_train_analysis(str(tmp_path), Config())
 
     def test_not_utf8_is_malformed(self, tmp_path):
