@@ -541,11 +541,11 @@ def save_train_analysis(dirpath, analysed, cfg):
     """Write train_analysis.csv: the settings header, then per train glyph
     its corpus path, image digest, detected group and the 32 raw feature
     counts (intersections and open ends per tile, row-major)."""
-    lines = [_record_header(cfg), _RECORD_COLUMNS]
-    for path, rec in analysed.items():
-        counts = ",".join(map(str, rec.raw_features.tolist()))
-        lines.append("%s,%s,%s,%s" % (path, rec.digest, structural.group_name(rec.group), counts))
-    raster.write_utf8(os.path.join(dirpath, TRAIN_ANALYSIS_NAME), "\n".join(lines) + "\n")
+    with raster.open_utf8(os.path.join(dirpath, TRAIN_ANALYSIS_NAME)) as fh:
+        fh.write("%s\n%s\n" % (_record_header(cfg), _RECORD_COLUMNS))
+        for path, rec in analysed.items():
+            counts = ",".join(map(str, rec.raw_features.tolist()))
+            fh.write("%s,%s,%s,%s\n" % (path, rec.digest, structural.group_name(rec.group), counts))
 
 
 def load_train_analysis(dirpath, cfg):

@@ -141,16 +141,18 @@ def save_pbm(path, img):
     img = np.asarray(img, dtype=bool)
     h, w = img.shape
     rows = np.column_stack([img.astype(np.uint8) + ord("0"), np.full(h, ord("\n"), dtype=np.uint8)])
-    atomic_write_bytes(path, b"P1\n%d %d\n" % (w, h) + rows.tobytes())
+    with _atomic_open(path) as fh:
+        fh.write(b"P1\n%d %d\n" % (w, h) + rows.tobytes())
 
 
-def atomic_write_bytes(path, data):
-    """Write through a temp file and rename it over path; on failure the
-    temp file is removed and the error re-raised."""
+@contextlib.contextmanager
+def _atomic_open(path, mode="wb", **kwargs):
+    """A file open for writing at a temp path, renamed over path when the
+    block ends; on failure the temp file is removed and the error re-raised."""
     tmp = "%s.tmp.%d" % (path, os.getpid())
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -158,9 +160,16 @@ def atomic_write_bytes(path, data):
         raise
 
 
+def open_utf8(path):
+    """A file for writing UTF-8 text to path, atomically (see _atomic_open);
+    line ends are written as given."""
+    return _atomic_open(path, "w", encoding="utf-8", newline="")
+
+
 def write_utf8(path, text):
     """Write text to path as UTF-8, atomically."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with open_utf8(path) as fh:
+        fh.write(text)
 
 
 def read_utf8(path, error):
@@ -277,15 +286,6 @@ def _ring_tables():
 
 
 _ZS_TABLES, _PEEL = _ring_tables()  # Zhang-Suen steps 1, 2 (arrays); peel (a list)
-_ZS_LISTS = tuple(t.tolist() for t in _ZS_TABLES)
-
-# The regimes of a thinning subiteration after the first pass, by its
-# number of touched indices (repeats counted; each deletion touches 8): up to
-# _FEW_TOUCHED, as when Zhang-Suen erodes a 2-px diagonal one pixel per
-# subiteration, numpy's fixed cost per call would outweigh the pixels, so the
-# subiteration runs over Python ints (_zs_delete_few); above it, one scan of
-# a bool grid (_marked) sorts out the repeats.
-_FEW_TOUCHED = 32
 
 
 def _zs_delete(buf, cand, ring, table):
@@ -306,20 +306,6 @@ def _zs_delete(buf, cand, ring, table):
         _spare_doomed(buf, dele.tolist(), dele[~kept].tolist(), ring.tolist())
         nbrs = nbrs.compress(~buf[dele], axis=1)
     return nbrs.ravel()
-
-
-def _zs_delete_few(px, cand, w, ring, table):
-    """_zs_delete over Python ints, for a handful of candidates: px is the
-    buffer as a memoryview, w the grid's width, ring and table are lists.
-    Returns the deleted pixels' neighbors as a list."""
-    dele = [i for i in cand if table[_code(px, i, w)]]
-    for i in dele:
-        px[i] = False
-    alone = [i for i in dele if not _code(px, i, w)]
-    if alone:
-        _spare_doomed(px, dele, alone, ring)
-        dele = [i for i in dele if not px[i]]
-    return [i + d for i in dele for d in ring]
 
 
 def _spare_doomed(buf, dele, alone, ring):
@@ -345,8 +331,8 @@ def _spare_doomed(buf, dele, alone, ring):
 
 def _marked(buf, touched, mark):
     """The distinct foreground pixels among the touched flat indices (a
-    sequence of index arrays or lists), by a scan of mark: a bool grid the
-    size of buf, all False before and after."""
+    sequence of index arrays), by a scan of mark: a bool grid the size of
+    buf, all False before and after."""
     for t in touched:
         mark[t] = True
     mark &= buf
@@ -386,13 +372,13 @@ def thin_to_convergence(img):
     A pixel's deletability under a step changes only when its 3x3
     neighborhood does, so after the first pass a subiteration re-tests just
     the foreground pixels next to the previous two subiterations' deletions
-    (touched). It finds and tests them in one of two regimes, by how many
-    indices were touched; see _FEW_TOUCHED. The mark scan costs in
-    proportion to the canvas, so callers thin a canvas cropped to the ink
-    or a NORM_SIZE one, as preprocess_glyph and normalize do."""
+    (touched, two index arrays), found by one scan of a bool grid (_marked).
+    The scan costs in proportion to the canvas, so callers thin a canvas
+    cropped to the ink and shrunk to the frame's scale, or a NORM_SIZE one,
+    as preprocess_glyph and normalize do: every such canvas is under 1.5
+    NORM_SIZE on its long side."""
     grid, ring = _bordered(img)
     buf = grid.reshape(-1)
-    px, w, ring_list = memoryview(buf), grid.shape[1], ring.tolist()
     mark = np.zeros(buf.size, dtype=bool)  # scratch for _marked
     # the first pass tests every pixel; touched holds the neighbors of the
     # last two subiterations' deletions
@@ -400,15 +386,10 @@ def thin_to_convergence(img):
     changed = any(map(len, touched))
     while changed:
         changed = False
-        for step in (0, 1):
-            n = len(touched[0]) + len(touched[1])
-            if n <= _FEW_TOUCHED:
-                cand = [i for i in set(touched[0]).union(touched[1]) if px[i]]
-                around = _zs_delete_few(px, cand, w, ring_list, _ZS_LISTS[step])
-            else:
-                around = _zs_delete(buf, _marked(buf, touched, mark), ring, _ZS_TABLES[step])
+        for table in _ZS_TABLES:
+            around = _zs_delete(buf, _marked(buf, touched, mark), ring, table)
             touched = [touched[1], around]
-            changed = changed or len(around) > 0
+            changed = changed or around.size > 0
     _peel_square_blocks(grid)
     return grid[1:-1, 1:-1].copy()
 

@@ -3,8 +3,8 @@ the same analysis.
 
 Exact relations only, over corpus glyphs at 1 px and at a thick pen (2x
 pixel replication plus one 3x3 dilation, numpy alone), plus what the padded
-glyphs' analysis hands to thinning, and k-fold pixel replication of the 1-px
-glyphs.
+and replicated glyphs' analysis hands to thinning, and k-fold pixel
+replication of the 1-px glyphs.
 """
 
 import numpy as np
@@ -20,10 +20,14 @@ GLYPHS = synth.plan_corpus(synth.default_templates(), 10, amplitude=2, seed=0)
 glyphs = st.tuples(st.integers(0, len(GLYPHS) - 1), st.booleans())
 
 
+def replicate(img, k):
+    return np.repeat(np.repeat(img, k, axis=0), k, axis=1)
+
+
 def draw(index, thick):
     img = GLYPHS[index].image
     if thick:
-        img = raster.thicken(np.repeat(np.repeat(img, 2, axis=0), 2, axis=1))
+        img = raster.thicken(replicate(img, 2))
     return img
 
 
@@ -49,11 +53,13 @@ def test_zero_padding_keeps_the_analysis(glyph, margins):
 
 
 @settings(max_examples=120, deadline=None)
-@given(glyph=glyphs, margins=borders)
-def test_thinning_gets_canvases_inked_on_every_edge(glyph, margins):
-    # each subiteration past a few touched pixels scans the whole canvas, which
-    # costs little only because analyze_glyph never thins a blank margin
-    img = pad(draw(*glyph), margins)  # drawing thins a 100x100 canvas of its own
+@given(glyph=glyphs, k=st.integers(1, 20), margins=borders)
+def test_thinning_gets_canvases_inked_on_every_edge(glyph, k, margins):
+    # each thinning subiteration after the first pass scans the whole canvas,
+    # which costs little only because analyze_glyph never thins a blank
+    # margin, nor a canvas 1.5 NORM_SIZE or more on its long side however
+    # large the glyph: stage one shrinks it to the frame's scale first
+    img = pad(replicate(draw(*glyph), k), margins)  # drawing thins a 100x100 canvas of its own
     canvases = []
     thin = raster.thin_to_convergence
 
@@ -67,6 +73,7 @@ def test_thinning_gets_canvases_inked_on_every_edge(glyph, margins):
     assert len(canvases) >= 2
     for c in canvases:
         assert c[0].any() and c[-1].any() and c[:, 0].any() and c[:, -1].any()
+        assert max(c.shape) < 1.5 * raster.NORM_SIZE
 
 
 @settings(max_examples=240, deadline=None)
@@ -92,5 +99,5 @@ def test_pixel_replication_keeps_the_analysis(k):
         if (k * max(raster.crop_to_ink(img).shape) + half) // raster.NORM_SIZE != k:
             continue
         kept += 1
-        assert outcome(np.repeat(np.repeat(img, k, axis=0), k, axis=1)) == outcome(img)
+        assert outcome(replicate(img, k)) == outcome(img)
     assert kept >= (len(GLYPHS) if k < 20 else 0.9 * len(GLYPHS))

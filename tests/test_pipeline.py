@@ -3,6 +3,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,24 @@ class TestTrainAnalysisRecord:
 
     def test_missing_is_empty(self, tmp_path):
         assert pipeline.load_train_analysis(str(tmp_path), Config()) == {}
+
+    def test_rows_are_written_as_formatted(self, recorded, tmp_path):
+        # a row is about 150 bytes of text: holding every row as a list, then
+        # joined, then encoded peaks near 500 bytes a record, writing each
+        # row as it is formatted near 7. The lower peak of two calls is
+        # bounded, as one may resize an interpreter table (interned strings)
+        rec = next(iter(recorded[2].values()))
+        analysed = {"c/%05d.pbm" % i: rec for i in range(4000)}
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                pipeline.save_train_analysis(str(tmp_path), analysed, Config())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert min(peaks) / len(analysed) < 32
+        assert list(pipeline.load_train_analysis(str(tmp_path), Config())) == list(analysed)
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,7 +113,7 @@ class TestAtomicWrite:
         target.mkdir()
         before = sorted(os.listdir(tmp_path))
         with pytest.raises(OSError):
-            raster.atomic_write_bytes(str(target), b"data")
+            raster.write_utf8(str(target), "data")
         assert sorted(os.listdir(tmp_path)) == before
 
 
@@ -687,39 +689,30 @@ class TestThinMatchesReference:
         assert np.array_equal(out, reference_thin(img))
         assert out[8:10, 12:14].sum() == 1
 
-    def test_two_pixel_diagonal_erodes_one_pixel_per_python_subiteration(self, monkeypatch):
-        # Zhang-Suen eats one pixel of a 2-px diagonal per subiteration, so
-        # nearly every subiteration after the first pass runs over Python ints
+    def test_two_pixel_diagonal_erodes_to_two_pixels(self):
+        # Zhang-Suen eats one pixel of a 2-px diagonal per subiteration
         img = diagonal_band(80, 85)
-        few = counting(monkeypatch, "_zs_delete_few")
         out = raster.thin_to_convergence(img)
-        assert len(few) >= 70
         assert out.sum() == 2
         assert np.array_equal(out, reference_thin(img))
 
     @pytest.mark.parametrize("step", [1, 2])
-    def test_python_subiteration_spares_an_isolated_square(self, monkeypatch, step):
+    def test_subiteration_spares_an_isolated_square(self, monkeypatch, step):
         # every pixel of an isolated 2x2 square is deletable at once; the
-        # Python subiteration must put back its raster-first pixel, as the
-        # numpy one and the oracle do
+        # subiteration must put back its raster-first pixel, as the oracle does
         img = np.zeros((6, 7), dtype=bool)
         img[2:4, 3:5] = True
         spares = counting(monkeypatch, "_spare_doomed")
         grid, ring = raster._bordered(img)
         buf = grid.reshape(-1)
-        cand = np.flatnonzero(buf)
-        around = raster._zs_delete_few(
-            memoryview(buf), cand.tolist(), grid.shape[1], ring.tolist(), raster._ZS_LISTS[step - 1]
-        )
+        around = raster._zs_delete(buf, np.flatnonzero(buf), ring, raster._ZS_TABLES[step - 1])
         assert spares
         expect = img.copy()
         assert _reference_subpass(expect, step)
         assert np.array_equal(grid[1:-1, 1:-1], expect)
         assert np.argwhere(expect).tolist() == [[2, 3]]
-        numpy_grid = raster._bordered(img)[0]
-        numpy_around = raster._zs_delete(numpy_grid.reshape(-1), cand, ring, raster._ZS_TABLES[step - 1])
-        assert np.array_equal(numpy_grid, grid)
-        assert sorted(around) == sorted(numpy_around.tolist())
+        # the three deleted pixels' neighbors, 8 each
+        assert around.size == 24
 
     def test_thick_pen_glyphs_take_the_mark_scan(self, templates, monkeypatch):
         # perfbench's pen: 2x replication, then one 3x3 dilation
@@ -731,24 +724,19 @@ class TestThinMatchesReference:
             assert len(marked) > before
             assert not marked[-1][2].any()  # the scan leaves its bool grid all False
 
-    def test_huge_canvas_never_scans_the_whole_grid_per_subiteration(self, monkeypatch):
-        # on a 2,000 x 2,000 canvas an 80-px diagonal band 2 px wide thins
-        # one pixel per subiteration, each over Python ints: none runs a
-        # mark scan
+    def test_band_on_a_huge_canvas_matches_reference(self):
+        # an 80-px diagonal band 2 px wide thins one pixel per subiteration,
+        # each a scan of the whole 2,000 x 2,000 grid: slow, same bytes
         small = diagonal_band(80, 85)
         img = np.zeros((2000, 2000), dtype=bool)
         img[1000:1085, 1500:1585] = small
-        calls = {name: counting(monkeypatch, name) for name in ("_marked", "_zs_delete_few")}
-        out = raster.thin_to_convergence(img)
-        assert not calls["_marked"]
-        assert len(calls["_zs_delete_few"]) >= 70
         expect = np.zeros_like(img)
         expect[1000:1085, 1500:1585] = reference_thin(small)
-        assert np.array_equal(out, expect)
+        assert np.array_equal(raster.thin_to_convergence(img), expect)
 
     def test_block_on_a_huge_canvas_matches_reference(self):
-        # a solid block's subiterations touch too many indices for Python
-        # ints, so each scans the whole 2,000 x 2,000 grid: slow, same bytes
+        # each subiteration of a solid block scans the whole 2,000 x 2,000
+        # grid: slow, same bytes
         small = np.zeros((44, 44), dtype=bool)
         small[2:42, 2:42] = True
         img = np.zeros((2000, 2000), dtype=bool)
@@ -757,10 +745,7 @@ class TestThinMatchesReference:
         expect[1000:1044, 1500:1544] = reference_thin(small)
         assert np.array_equal(raster.thin_to_convergence(img), expect)
 
-    @pytest.mark.parametrize("few", [10**9, 0], ids=["python", "mark-scan"])
-    def test_each_regime_alone_matches_reference(self, monkeypatch, few):
-        # every subiteration after the first pass forced into one regime
-        monkeypatch.setattr(raster, "_FEW_TOUCHED", few)
+    def test_small_arrays_and_a_band_match_reference(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)
             h, w = rng.integers(1, 40, size=2)
@@ -771,7 +756,7 @@ class TestThinMatchesReference:
 def test_numpy_alone_is_enough():
     # scipy is blocked, so importing it anywhere in devoc fails; the isolated
     # 2x2 square makes thinning take the vanishing-component path, and the
-    # 2-px diagonal band the subiterations over Python ints
+    # 2-px diagonal band thins one pixel per subiteration
     code = (
         "import sys; sys.modules['scipy'] = None\n"
         "import numpy as np, devoc.cli\n"
@@ -886,6 +871,23 @@ class TestNormalize:
                 out = raster._axis_scale(grid, axis, raster.NORM_SIZE)
                 assert out.dtype == bool
                 assert np.array_equal(out, reference_axis_scale(grid, axis, raster.NORM_SIZE))
+
+    def test_shrink_to_frame_for_every_long_side(self):
+        # k is the long side over NORM_SIZE, rounded half up (none below 2):
+        # every shrunk image is under 1.5 NORM_SIZE on its long side, which
+        # is what thinning's whole-canvas scan per subiteration relies on
+        for side in range(1, 3001):
+            k = max(1, math.floor(Fraction(side, raster.NORM_SIZE) + Fraction(1, 2)))
+            n = -(-side // k)
+            assert n < 1.5 * raster.NORM_SIZE
+            ends = np.zeros(n, dtype=bool)
+            ends[[0, -1]] = True  # the max-pool keeps the ink at both ends
+            img = np.zeros((side, 3), dtype=bool)
+            img[[0, -1], 1] = True
+            out = raster.shrink_to_frame(img)
+            assert out.shape == (n, -(-3 // k))
+            assert np.array_equal(out.any(axis=1), ends)
+            assert np.array_equal(raster.shrink_to_frame(img.T), out.T)
 
     def test_downscale_never_empties(self):
         img = np.zeros((400, 400), dtype=bool)
